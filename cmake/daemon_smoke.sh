@@ -2,8 +2,9 @@
 # Daemon smoke (ctest): start hcsimd on a scratch socket, drive it with
 # hcsim_sweep --connect, and demand the fig06 grid's CSV be byte-identical
 # to the in-process run. Also covers the sweep CLI contract: --list prints
-# the registry, unknown sweep names exit 2 with a diagnostic, and
-# --connect --shutdown stops the daemon.
+# the registry, unknown sweep names and a zero sample warm-up in
+# fault-tolerant mode exit 2 with a diagnostic, and --connect --shutdown
+# stops the daemon.
 # Usage: daemon_smoke.sh <hcsimd> <hcsim_sweep> <work_dir>
 set -euo pipefail
 
@@ -55,6 +56,27 @@ if [ "$rc" -ne 3 ]; then
   exit 1
 fi
 grep -q "fallback disabled" "$WORK_DIR/refused.err"
+
+# A zero warm-up is "no warm-up" in-process but "the default" in a job
+# request, so fault-tolerant mode refuses it (flag or environment) with
+# exit 2 instead of writing different rows.
+for mode in flag env; do
+  set +e
+  if [ "$mode" = flag ]; then
+    "$SWEEP" smoke --quiet --len 90000 --sample-warmup 0 --sample-measure 4000 \
+      --sample-period 40000 --journal-dir "$WORK_DIR/j0" 2> "$WORK_DIR/warmup0.err"
+  else
+    HCSIM_SAMPLE_WARMUP=0 HCSIM_SAMPLE_MEASURE=4000 "$SWEEP" smoke --quiet \
+      --len 90000 --connect "$WORK_DIR/nope.sock" 2> "$WORK_DIR/warmup0.err"
+  fi
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "zero sample warm-up ($mode) in fault-tolerant mode: expected exit 2, got $rc" >&2
+    exit 1
+  fi
+  grep -q "sample-warmup 0" "$WORK_DIR/warmup0.err"
+done
 
 # --- daemon round trip --------------------------------------------------------
 "$DAEMON" --socket "$SOCK" --threads 2 2> "$WORK_DIR/hcsimd.log" &

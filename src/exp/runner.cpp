@@ -5,7 +5,7 @@
 #include <optional>
 #include <tuple>
 
-#include "core/pipeline.hpp"
+#include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
 
@@ -116,42 +116,32 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
 
   const std::vector<ExperimentPoint> points = expand(spec);
 
-  // Baseline cells: one (trace, baseline simulation) per unique
-  // (workload, seed, length) combination, shared by every variant point.
-  struct BaselineCell {
+  // Cells: one per unique (workload, seed, length) combination. Config 0 of
+  // a cell is the baseline, shared by every variant point of the cell;
+  // config i > 0 is the variant of the cell's point i - 1.
+  struct Cell {
     const WorkloadProfile* profile = nullptr;
     u64 n_records = 0;
-    SimResult sim;
-    PowerReport power;
+    std::vector<const ExperimentPoint*> points;
+    std::size_t n_jobs = 0;
+    std::vector<SimResult> sims;  // per config, filled by the cell's jobs
+    PowerReport power;            // of the baseline
+    // Guarded by progress_mu: set once sims[0] and power are final, and the
+    // variant configs that finished before that.
+    bool baseline_done = false;
+    std::vector<std::size_t> waiting;
   };
   std::map<std::tuple<u32, u32, u32>, u32> cell_of;
-  std::vector<BaselineCell> cells;
-  std::vector<u32> point_cell(points.size());
+  std::vector<Cell> cells;
   for (const ExperimentPoint& p : points) {
     const auto key = std::make_tuple(p.workload_idx, p.seed_idx, p.len_idx);
     auto [it, inserted] = cell_of.emplace(key, static_cast<u32>(cells.size()));
-    if (inserted) cells.push_back({&p.profile, p.n_records, {}, {}});
-    point_cell[p.index] = it->second;
+    if (inserted) cells.push_back({&p.profile, p.n_records, {}, 0, {}, {}, false, {}});
+    cells[it->second].points.push_back(&p);
   }
 
-  // Phase 1: generate traces and simulate the baseline machine, one job per
-  // cell. Below the stream threshold simulate_workload() warms the process-
-  // wide trace cache (internally synchronized, so concurrent cells are
-  // fine); above it every simulation streams records straight from the
-  // generator and nothing is materialized.
-  {
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(cells.size());
-    for (BaselineCell& cell : cells)
-      jobs.push_back([&cell, &spec] {
-        cell.sim = simulate_workload(spec.baseline, *cell.profile, cell.n_records);
-        cell.power = analyze_power(cell.sim, spec.baseline);
-      });
-    run_jobs(jobs, threads, opts.pool, opts.cancelled);
-  }
-
-  // Phase 2: one job per point; results land in their index slot, so the
-  // collected vector is in grid order no matter the completion order.
+  // Results land in their index slot, so the collected vector is in grid
+  // order no matter the completion order.
   SweepResult result;
   result.sweep = spec.name;
   result.threads_used = threads;
@@ -159,27 +149,89 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
 
   std::mutex progress_mu;
   u64 done = 0;
-  {
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(points.size());
-    for (const ExperimentPoint& p : points)
-      jobs.push_back([&, &p = p] {
-        const BaselineCell& cell = cells[point_cell[p.index]];
-        PointResult pr;
-        pr.point = p;
-        pr.baseline = cell.sim;
-        pr.power_baseline = cell.power;
-        pr.sim = simulate_workload(p.variant.machine, p.profile, p.n_records);
-        pr.power_sim = analyze_power(pr.sim, p.variant.machine);
-        result.points[p.index] = std::move(pr);
-        if (opts.on_point) {
-          std::lock_guard<std::mutex> lock(progress_mu);
-          ++done;
-          opts.on_point(result.points[p.index], done, points.size());
-        }
-      });
-    run_jobs(jobs, threads, opts.pool, opts.cancelled);
+  // Report variant config i of `cell` as its point; the baseline is done.
+  const auto finish_point = [&](Cell& cell, std::size_t i) {
+    const ExperimentPoint& p = *cell.points[i - 1];
+    PointResult pr;
+    pr.point = p;
+    pr.baseline = cell.sims[0];
+    pr.power_baseline = cell.power;
+    pr.sim = std::move(cell.sims[i]);
+    pr.power_sim = analyze_power(pr.sim, p.variant.machine);
+    result.points[p.index] = std::move(pr);
+    if (opts.on_point) {
+      std::lock_guard<std::mutex> lock(progress_mu);
+      ++done;
+      opts.on_point(result.points[p.index], done, points.size());
+    }
+  };
+
+  // Every job simulates a contiguous range of one cell's configs from one
+  // pass over the cell's trace. In a sampled sweep, a cell whose trace is
+  // streamed (longer than stream_threshold()) shares a pass between configs
+  // (sample::simulate_configs): seeking between windows still interprets
+  // every skipped record, about 15 per simulated one at paper scale, so
+  // generating the trace once per job instead of once per config saves most
+  // of the sweep's time. Such a cell's configs are split into just enough
+  // jobs that the sweep has two per thread, so a few long cells still fill
+  // the pool. Every other cell runs one job per config: a cached trace is
+  // already shared through cached_trace(), and a full streamed run spends
+  // too little on generation to pay for K pipelines fed in turn (sharing
+  // passes, the cached ladder benchmark ran 5% slower with 16% more peak
+  // RSS, and a streamed 1M-µop helper_design sweep at 4 threads 25%
+  // slower).
+  const u64 threshold = stream_threshold();
+  const bool sampled = sample::active_sample_spec().enabled();
+  const auto shares_pass = [&](const Cell& cell) {
+    return sampled && cell.n_records > threshold;
+  };
+  std::size_t shared = 0;
+  for (const Cell& cell : cells) shared += shares_pass(cell);
+  const std::size_t shared_jobs = shared ? (2 * threads + shared - 1) / shared : 1;
+  std::size_t max_jobs = 0;
+  for (Cell& cell : cells) {
+    const std::size_t k = cell.points.size() + 1;
+    cell.n_jobs = shares_pass(cell) ? std::min(k, shared_jobs) : k;
+    cell.sims.resize(k);
+    max_jobs = std::max(max_jobs, cell.n_jobs);
   }
+
+  // Job j of every cell is queued before job j + 1 of any, so the baselines
+  // (in job 0) run first, each on its own trace, and a variant's point is
+  // reported as soon as both its job and its cell's baseline are done.
+  std::vector<std::function<void()>> jobs;
+  for (std::size_t j = 0; j < max_jobs; ++j)
+    for (Cell& cell : cells) {
+      if (j >= cell.n_jobs) continue;
+      const std::size_t k = cell.sims.size();
+      jobs.push_back([&, &cell = cell, lo = j * k / cell.n_jobs,
+                      hi = (j + 1) * k / cell.n_jobs] {
+        std::vector<MachineConfig> cfgs;
+        for (std::size_t i = lo; i < hi; ++i)
+          cfgs.push_back(i == 0 ? spec.baseline : cell.points[i - 1]->variant.machine);
+        if (cfgs.size() == 1) {
+          cell.sims[lo] = simulate_workload(cfgs[0], *cell.profile, cell.n_records);
+        } else {
+          std::vector<sample::SampledResult> runs = sample::simulate_configs(
+              cfgs, *cell.profile, cell.n_records, sample::active_sample_spec());
+          for (std::size_t i = lo; i < hi; ++i) cell.sims[i] = std::move(runs[i - lo].total);
+        }
+        if (lo == 0) cell.power = analyze_power(cell.sims[0], spec.baseline);
+
+        std::vector<std::size_t> ready;
+        {
+          std::lock_guard<std::mutex> lock(progress_mu);
+          if (lo == 0) {
+            cell.baseline_done = true;
+            ready = std::move(cell.waiting);
+          }
+          for (std::size_t i = std::max<std::size_t>(lo, 1); i < hi; ++i)
+            (cell.baseline_done ? ready : cell.waiting).push_back(i);
+        }
+        for (std::size_t i : ready) finish_point(cell, i);
+      });
+    }
+  run_jobs(jobs, threads, opts.pool, opts.cancelled);
 
   result.cancelled = opts.cancelled && opts.cancelled();
   result.wall_seconds =

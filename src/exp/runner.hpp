@@ -79,10 +79,10 @@ struct RunOptions {
   /// Progress callback, invoked once per finished point (completion order,
   /// serialized — never concurrently). `done` counts finished points.
   std::function<void(const PointResult&, u64 done, u64 total)> on_point;
-  /// Cooperative cancellation, polled between points (a running simulation
-  /// finishes). When it returns true remaining points are skipped and the
-  /// result comes back with `cancelled` set — the daemon wires this to
-  /// "client still connected?".
+  /// Cooperative cancellation, polled between jobs (a running job finishes;
+  /// a sampled streamed job can cover several points). When it returns
+  /// true remaining points are skipped and the result comes back with
+  /// `cancelled` set — the daemon wires this to "client still connected?".
   std::function<bool()> cancelled;
   /// Schedule jobs on an existing pool instead of creating one per call.
   /// The sweep only waits for its own jobs, so several run_sweep calls may
@@ -105,7 +105,13 @@ struct SweepResult {
 };
 
 /// Execute every point of the sweep. Baseline simulations are shared: one
-/// per unique (workload, seed, length) cell, not one per point.
+/// per unique (workload, seed, length) cell, not one per point. Each of a
+/// cell's configs (the baseline and every variant) is its own job, except
+/// in a sampled sweep (sample::active_sample_spec() enabled) on a streamed
+/// trace (longer than stream_threshold()): there a job runs a range of the
+/// cell's configs one after another from a single pass over the trace
+/// (sample::simulate_configs), with just enough jobs per cell for two per
+/// thread.
 SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts = {});
 
 }  // namespace hcsim::exp

@@ -354,8 +354,8 @@ RvTraceInfo stream_from_program(const RvProgram& prog, const CrackedProgram& cra
 // --- RvStreamCursor ----------------------------------------------------------
 
 RvStreamCursor::RvStreamCursor(const RvProgram& prog, const CrackedProgram& cracked,
-                               const ExecLimits& limits)
-    : cracked_(&cracked), machine_(prog, limits) {}
+                               u64 max_uops, const ExecLimits& limits)
+    : cracked_(&cracked), machine_(prog, limits), max_uops_(max_uops) {}
 
 RvTraceInfo RvStreamCursor::info() const {
   RvTraceInfo out;
@@ -367,9 +367,14 @@ RvTraceInfo RvStreamCursor::info() const {
 
 bool RvStreamCursor::refill() {
   RvStep step;
-  if (machine_.step(step) != RvMachine::Outcome::kRetired) return false;
+  if (cut_ || machine_.step(step) != RvMachine::Outcome::kRetired) return false;
   emit_step_records(*cracked_, step,
                     [this](const TraceRecord& r) { pending_.push_back(r); });
+  if (pos_ + pending_.size() > max_uops_) {  // stream_from_program's budget cut
+    pending_.clear();
+    cut_ = true;
+    return false;
+  }
   return true;
 }
 
@@ -406,6 +411,7 @@ RvStreamCursor::Checkpoint RvStreamCursor::checkpoint() const {
 
 void RvStreamCursor::restore(const Checkpoint& c) {
   machine_.restore(c.machine);
+  cut_ = false;  // positions never pass the cut, so no checkpoint lies beyond it
   pending_ = c.pending;
   head_ = 0;
   pos_ = c.pos;

@@ -84,8 +84,10 @@ void emit_step_records(const CrackedProgram& cracked, const RvStep& step,
 class RvStreamCursor {
  public:
   /// Borrows `prog` and `cracked` (must be crack_program(prog)); the caller
-  /// keeps both alive for the cursor's lifetime.
-  RvStreamCursor(const RvProgram& prog, const CrackedProgram& cracked,
+  /// keeps both alive for the cursor's lifetime. `max_uops` is the stream's
+  /// µop budget, cut the way stream_from_program cuts it: the instruction
+  /// whose crack would cross it ends the stream, none of its µops delivered.
+  RvStreamCursor(const RvProgram& prog, const CrackedProgram& cracked, u64 max_uops,
                  const ExecLimits& limits = {});
 
   /// Stream position of the next undelivered record.
@@ -94,8 +96,8 @@ class RvStreamCursor {
   /// Push records [begin, end) to `sink` in stream order; begin must be at
   /// or past position() (records already consumed cannot be re-delivered —
   /// restore a checkpoint instead). Skipping [position(), begin) executes
-  /// and discards. Delivered short if the program halts, traps, or exhausts
-  /// its instruction budget first.
+  /// and discards. Delivered short if the program halts, traps, exhausts
+  /// its instruction budget or reaches the µop budget first.
   RvTraceInfo pump_range(u64 begin, u64 end,
                          const std::function<void(const TraceRecord&)>& sink);
 
@@ -116,6 +118,8 @@ class RvStreamCursor {
 
   const CrackedProgram* cracked_;
   RvMachine machine_;
+  u64 max_uops_;
+  bool cut_ = false;  // the µop budget ended the stream
   std::vector<TraceRecord> pending_;
   std::size_t head_ = 0;  // next undelivered record within pending_
   u64 pos_ = 0;           // stream position of pending_[head_]

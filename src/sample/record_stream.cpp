@@ -33,29 +33,48 @@ class TraceRecordStream final : public RecordStream {
   const Trace& trace_;
 };
 
+/// Generator chunk size for sampled streams. A window's records are copied
+/// on into the simulator's own span buffer, so a chunk only has to amortize
+/// the cursor call; a full kTraceChunkRecords chunk would add 2 MB of live
+/// records to every stream.
+constexpr std::size_t kCursorChunkRecords = 4096;
+
 /// Synthetic generator: a ProgramTraceCursor interpreted on demand. Seeking
-/// forward generates and discards — generation runs ~6x faster than the
-/// pipeline, which is what makes skipped periods nearly free.
+/// forward steps the interpreter without building records
+/// (ProgramTraceCursor::skip), but skipped periods are not free: every
+/// skipped record is still interpreted. In the traced paper-scale sampled
+/// fig12 benchmark (10M µops, 5 windows of 100k, 15.2 records skipped per
+/// record simulated; 4-vCPU VM) generation took 65-67% of the job time when
+/// seeks built and dropped records, and still takes 60% with skip.
 class CursorRecordStream final : public RecordStream {
  public:
   CursorRecordStream(const WorkloadProfile& profile, u64 n_records)
-      : cursor_(std::make_unique<ProgramTraceCursor>(generate_program(profile),
-                                                     profile, n_records)) {}
+      : cursor_(std::make_unique<ProgramTraceCursor>(generate_program(profile), profile,
+                                                     n_records, kCursorChunkRecords)) {}
 
   const Program& program() const override { return cursor_->program(); }
 
   void feed_range(u64 begin, u64 end, const RecordSink& sink) override {
     HCSIM_CHECK(begin >= pos_, "CursorRecordStream: backward seek");
-    if (begin > pos_) note_forward_seek("generator", begin - pos_);
+    if (begin > pos_) {
+      note_forward_seek("generator", begin - pos_);
+      // Drop the rest of the current chunk, then step over the remainder.
+      const u64 dropped = std::min<u64>(begin - pos_, chunk_.size() - off_);
+      off_ += dropped;
+      pos_ += dropped;
+      pos_ += cursor_->skip(begin - pos_);
+      if (pos_ < begin) return;  // trace exhausted during the seek
+    }
     while (pos_ < end) {
       if (off_ >= chunk_.size()) {
         chunk_ = cursor_->next_chunk();
         off_ = 0;
         if (chunk_.empty()) return;  // trace exhausted: deliver short
       }
-      const TraceRecord& rec = chunk_[off_++];
-      if (pos_ >= begin) sink(rec);
-      ++pos_;
+      const std::size_t n = std::min<u64>(chunk_.size() - off_, end - pos_);
+      for (std::size_t i = 0; i < n; ++i) sink(chunk_[off_ + i]);
+      off_ += n;
+      pos_ += n;
     }
   }
 
@@ -82,9 +101,12 @@ constexpr std::size_t kMaxCheckpoints = 32;
 /// kernel entry point.
 class KernelRecordStream final : public RecordStream {
  public:
-  explicit KernelRecordStream(const std::string& kernel)
+  /// The first n_records µops of the kernel, cut at an instruction boundary
+  /// like rv::kernel_trace(kernel, n_records).
+  KernelRecordStream(const std::string& kernel, u64 n_records)
       : stream_(rv::open_kernel_stream(kernel)),
-        cursor_(stream_.binary, stream_.cracked) {}
+        n_records_(n_records),
+        cursor_(stream_.binary, stream_.cracked, n_records) {}
 
   const Program& program() const override { return stream_.cracked.program; }
 
@@ -107,7 +129,7 @@ class KernelRecordStream final : public RecordStream {
       cursor_.restore(*best);
     } else {
       // Entry state is an implicit checkpoint at position 0.
-      cursor_ = rv::RvStreamCursor(stream_.binary, stream_.cracked);
+      cursor_ = rv::RvStreamCursor(stream_.binary, stream_.cracked, n_records_);
     }
     return true;
   }
@@ -130,6 +152,7 @@ class KernelRecordStream final : public RecordStream {
   }
 
   rv::KernelStream stream_;
+  u64 n_records_;
   rv::RvStreamCursor cursor_;  // borrows stream_: declared after it
   std::vector<rv::RvStreamCursor::Checkpoint> ckpts_;  // pos ascending
 };
@@ -158,8 +181,8 @@ StreamFactory workload_stream_factory(const WorkloadProfile& profile, u64 n_reco
   }
   if (!profile.rv_kernel.empty()) {
     const std::string kernel = profile.rv_kernel;
-    return [kernel]() -> std::unique_ptr<RecordStream> {
-      return std::make_unique<KernelRecordStream>(kernel);
+    return [kernel, n_records]() -> std::unique_ptr<RecordStream> {
+      return std::make_unique<KernelRecordStream>(kernel, n_records);
     };
   }
   const WorkloadProfile prof = profile;

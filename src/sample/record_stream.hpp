@@ -6,7 +6,8 @@
 // records come from:
 //   - TraceRecordStream  — a materialized Trace (spans, free seeking)
 //   - CursorRecordStream — the synthetic generator's pull cursor
-//                          (seeks forward by generating + discarding)
+//                          (seeks forward by stepping the interpreter
+//                          without building records)
 //   - KernelRecordStream — the RV functional executor's push stream
 //                          (re-executes from entry, delivering the slice)
 // All three deliver bit-identical records for the same range, so serial
@@ -73,7 +74,9 @@ std::unique_ptr<RecordStream> open_trace_stream(const Trace& trace);
 /// Factory for `profile`'s deterministic trace of `n_records` µops, routed
 /// the same way simulate_workload routes full runs: a materialized cached
 /// trace at or below stream_threshold(), the synthetic generator cursor or
-/// the RV kernel executor above it (O(chunk) memory).
+/// the RV kernel executor above it (O(chunk) memory). Every route delivers
+/// the same records: an RV kernel still running at n_records ends at the
+/// last instruction boundary at or below it, as rv::kernel_trace does.
 StreamFactory workload_stream_factory(const WorkloadProfile& profile, u64 n_records);
 
 }  // namespace hcsim::sample

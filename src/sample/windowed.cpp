@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <span>
 
 #include "exp/runner.hpp"
 #include "sim/simulator.hpp"
@@ -105,43 +107,159 @@ void finalize(SimResult& r, Tick wide_ticks, u64 dl0_hits, u64 dl0_accesses,
   r.counters[Counter::kUl1Accesses] = ul1_accesses;
 }
 
-/// One in-flight window: a cold pipeline plus the warm-up/measure boundary
-/// checkpoint.
-struct WindowRun {
-  std::unique_ptr<Pipeline> pipeline;
-  Pipeline::StatsCheckpoint warm;
-  u64 fed = 0;
+/// Records per span: the stream's sink fills a buffer of this many records,
+/// and every pipeline of a pass takes each span through the batched
+/// Pipeline::feed(span).
+constexpr std::size_t kSpanRecords = 4096;
 
-  void open(const MachineConfig& cfg, const Program& program, u64 warmup) {
-    pipeline = std::make_unique<Pipeline>(cfg, program);
-    fed = 0;
-    if (warmup == 0) warm = pipeline->checkpoint_stats();
+/// Cold pipelines, one per config, bound to one program and fed the same
+/// record spans.
+class PipelineGroup {
+ public:
+  PipelineGroup(std::span<const MachineConfig> cfgs, const Program& program) {
+    pipes_.reserve(cfgs.size());
+    for (const MachineConfig& cfg : cfgs)
+      pipes_.push_back(std::make_unique<Pipeline>(cfg, program));
+    buf_.reserve(kSpanRecords);
   }
 
-  void feed(const TraceRecord& rec, u64 warmup) {
-    pipeline->feed(rec);
-    if (++fed == warmup) warm = pipeline->checkpoint_stats();
+  /// Feed records [begin, end) of `stream` to every pipeline (fewer when
+  /// the trace ends first).
+  void pull(RecordStream& stream, u64 begin, u64 end) {
+    stream.feed_range(begin, end, [this](const TraceRecord& rec) {
+      buf_.push_back(rec);
+      if (buf_.size() == kSpanRecords) flush();
+    });
+    flush();
   }
+
+  /// Records fed so far.
+  u64 fed() const { return fed_; }
+  Pipeline& operator[](std::size_t k) { return *pipes_[k]; }
+
+ private:
+  void flush() {
+    if (buf_.empty()) return;
+    for (const std::unique_ptr<Pipeline>& p : pipes_)
+      p->feed(std::span<const TraceRecord>(buf_));
+    fed_ += buf_.size();
+    buf_.clear();
+  }
+
+  std::vector<std::unique_ptr<Pipeline>> pipes_;  // Pipeline is not movable
+  std::vector<TraceRecord> buf_;
+  u64 fed_ = 0;
 };
 
-/// Close an in-flight window: subtract the warm checkpoint and finalize the
-/// per-window view. Returns false (and produces nothing) when the trace
-/// ended before the window's measure region began.
-bool close_window(const WindowRange& w, WindowRun& run, Tick wide_ticks,
-                  WindowStats& out) {
-  if (!run.pipeline || run.fed <= w.warmup) return false;
-  const Pipeline::StatsCheckpoint end = run.pipeline->checkpoint_stats();
-  out.range = w;
-  out.range.measure = run.fed - w.warmup;  // truncated when the trace ended early
-  out.measured = measured_delta(end, run.warm);
-  out.dl0_hits = end.dl0_hits - run.warm.dl0_hits;
-  out.dl0_accesses = end.dl0_accesses - run.warm.dl0_accesses;
-  out.ul1_hits = end.ul1_hits - run.warm.ul1_hits;
-  out.ul1_accesses = end.ul1_accesses - run.warm.ul1_accesses;
-  finalize(out.measured, wide_ticks, out.dl0_hits, out.dl0_accesses, out.ul1_hits,
-           out.ul1_accesses);
-  run.pipeline.reset();
-  return true;
+/// Simulate window `w` of `stream` on a cold pipeline per config, with a
+/// stats checkpoint at the warm-up/measure boundary. Returns each config's
+/// measured window, or nothing when the trace ended before the window's
+/// measure region began (the same for every config: all see the same
+/// records).
+std::vector<WindowStats> simulate_window(std::span<const MachineConfig> cfgs,
+                                         RecordStream& stream, const WindowRange& w) {
+  PipelineGroup group(cfgs, stream.program());
+  group.pull(stream, w.begin, w.measure_begin());
+  if (group.fed() < w.warmup) return {};
+  std::vector<Pipeline::StatsCheckpoint> warm;
+  for (std::size_t k = 0; k < cfgs.size(); ++k) warm.push_back(group[k].checkpoint_stats());
+  group.pull(stream, w.measure_begin(), w.end());
+  const u64 measured = group.fed() - w.warmup;  // short when the trace ended early
+  if (measured == 0) return {};
+
+  std::vector<WindowStats> out(cfgs.size());
+  for (std::size_t k = 0; k < cfgs.size(); ++k) {
+    const Pipeline::StatsCheckpoint end = group[k].checkpoint_stats();
+    WindowStats& s = out[k];
+    s.range = w;
+    s.range.measure = measured;
+    s.measured = measured_delta(end, warm[k]);
+    s.dl0_hits = end.dl0_hits - warm[k].dl0_hits;
+    s.dl0_accesses = end.dl0_accesses - warm[k].dl0_accesses;
+    s.ul1_hits = end.ul1_hits - warm[k].ul1_hits;
+    s.ul1_accesses = end.ul1_accesses - warm[k].ul1_accesses;
+    finalize(s.measured, cfgs[k].ticks_per_wide_cycle, s.dl0_hits, s.dl0_accesses,
+             s.ul1_hits, s.ul1_accesses);
+  }
+  return out;
+}
+
+/// Full (unsampled) runs of every config over one stream: what a disabled
+/// spec asks for, and the fallback when the plan has no window or the trace
+/// ended before the first measure region.
+std::vector<SampledResult> full_runs(std::span<const MachineConfig> cfgs,
+                                     const SampleSpec& spec, const StreamFactory& factory,
+                                     u64 trace_len) {
+  const std::unique_ptr<RecordStream> stream = factory();
+  PipelineGroup group(cfgs, stream->program());
+  group.pull(*stream, 0, trace_len);
+  std::vector<SampledResult> out(cfgs.size());
+  for (std::size_t k = 0; k < cfgs.size(); ++k) {
+    out[k].spec = spec;
+    out[k].trace_len = trace_len;
+    out[k].total = group[k].finish();
+    out[k].simulated_uops = out[k].measured_uops = out[k].total.uops;
+  }
+  return out;
+}
+
+/// Splice one config's measured windows (trace order, at least one) into
+/// its sampled result.
+SampledResult splice(const SampleSpec& spec, u64 trace_len, Tick wide_ticks,
+                     std::vector<WindowStats> windows) {
+  SampledResult result;
+  result.spec = spec;
+  result.trace_len = trace_len;
+  result.sampled = true;
+  result.total = windows.front().measured;  // adopts workload/config strings
+  u64 dl0_hits = 0, dl0_accesses = 0, ul1_hits = 0, ul1_accesses = 0;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const WindowStats& w = windows[i];
+    if (i > 0) accumulate(result.total, w.measured);
+    dl0_hits += w.dl0_hits;
+    dl0_accesses += w.dl0_accesses;
+    ul1_hits += w.ul1_hits;
+    ul1_accesses += w.ul1_accesses;
+    result.measured_uops += w.measured.uops;
+    result.simulated_uops += w.range.warmup + w.measured.uops;
+  }
+  finalize(result.total, wide_ticks, dl0_hits, dl0_accesses, ul1_hits, ul1_accesses);
+  result.windows = std::move(windows);
+  return result;
+}
+
+/// The serial pass: one stream, windows in trace order, each window fed to
+/// a cold pipeline per config. Records between windows are stepped over by
+/// the stream's forward seek, never fed.
+std::vector<SampledResult> sampled_pass(std::span<const MachineConfig> cfgs,
+                                        const SampleSpec& spec,
+                                        const StreamFactory& factory, u64 trace_len) {
+  const std::vector<WindowRange> plan = plan_windows(spec, trace_len);
+  // Trace too short to sample (or sampling disabled): full run.
+  if (plan.empty()) return full_runs(cfgs, spec, factory, trace_len);
+
+  std::vector<std::vector<WindowStats>> windows(cfgs.size());  // per config
+  {
+    const std::unique_ptr<RecordStream> stream = factory();
+    for (const WindowRange& w : plan) {
+      std::vector<WindowStats> measured = simulate_window(cfgs, *stream, w);
+      if (measured.empty()) break;  // the trace ended before this window
+      const bool ended = measured.front().range.measure < w.measure;
+      for (std::size_t k = 0; k < cfgs.size(); ++k)
+        windows[k].push_back(std::move(measured[k]));
+      if (ended) break;  // ... or inside it
+    }
+  }
+  // The trace ended during the first window's warm-up (e.g. a kernel
+  // halting almost immediately): no measured window exists, fall back.
+  if (windows.front().empty()) return full_runs(cfgs, spec, factory, trace_len);
+
+  std::vector<SampledResult> out;
+  out.reserve(cfgs.size());
+  for (std::size_t k = 0; k < cfgs.size(); ++k)
+    out.push_back(
+        splice(spec, trace_len, cfgs[k].ticks_per_wide_cycle, std::move(windows[k])));
+  return out;
 }
 
 }  // namespace
@@ -153,102 +271,28 @@ WindowedSimulator::WindowedSimulator(const MachineConfig& cfg, const SampleSpec&
 
 SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len,
                                      unsigned threads) const {
-  SampledResult result;
-  result.spec = spec_;
-  result.trace_len = trace_len;
-  const Tick wt = cfg_.ticks_per_wide_cycle;
-
-  const auto full_run = [&]() {
-    const std::unique_ptr<RecordStream> stream = factory();
-    Pipeline p(cfg_, stream->program());
-    stream->feed_range(0, trace_len, [&](const TraceRecord& rec) { p.feed(rec); });
-    result.sampled = false;
-    result.windows.clear();
-    result.total = p.finish();
-    result.simulated_uops = result.measured_uops = result.total.uops;
-    return result;
-  };
-
+  const std::span<const MachineConfig> cfg(&cfg_, 1);
   const std::vector<WindowRange> plan = plan_windows(spec_, trace_len);
-  // Trace too short to sample (or sampling disabled): full run.
-  if (plan.empty()) return full_run();
-  result.sampled = true;
+  if (threads <= 1 || plan.empty())
+    return sampled_pass(cfg, spec_, factory, trace_len).front();
 
-  // Per-plan-slot results; windows the trace never reached stay invalid.
-  // (unsigned char, not bool: vector<bool> packs bits, and parallel window
-  // jobs writing adjacent slots would race on the shared byte.)
-  std::vector<WindowStats> stats(plan.size());
-  std::vector<unsigned char> valid(plan.size(), 0);
-
-  if (threads <= 1) {
-    // Serial: one stream, one forward pass. Windows open and close in trace
-    // order as the scan crosses their boundaries; records between windows
-    // are generated (determinism requires it) but not simulated.
-    const std::unique_ptr<RecordStream> stream = factory();
-    std::size_t wi = 0;
-    u64 pos = plan.front().begin;
-    WindowRun run;
-    stream->feed_range(plan.front().begin, plan.back().end(),
-                       [&](const TraceRecord& rec) {
-                         if (wi >= plan.size()) return;
-                         const WindowRange& w = plan[wi];
-                         if (pos++ < w.begin) return;  // inter-window skip
-                         if (!run.pipeline) run.open(cfg_, stream->program(), w.warmup);
-                         run.feed(rec, w.warmup);
-                         if (run.fed == w.warmup + w.measure) {
-                           valid[wi] = close_window(w, run, wt, stats[wi]);
-                           ++wi;
-                         }
-                       });
-    // The stream may have ended mid-window (short trace): close what's open.
-    if (wi < plan.size() && run.pipeline)
-      valid[wi] = close_window(plan[wi], run, wt, stats[wi]);
-  } else {
-    // Parallel slicing: each window is an independent job — fresh stream,
-    // cold pipeline, K warm-up µops — exactly the serial per-window
-    // computation, so the splice below is bit-identical to the serial run.
+  // Parallel slicing: each window is an independent job — fresh stream,
+  // cold pipeline, the window's warm-up µops — exactly the serial per-window
+  // computation, so the splice below is bit-identical to the serial run.
+  // Windows the trace never reached come back empty.
+  std::vector<std::vector<WindowStats>> slots(plan.size());
+  {
     exp::ThreadPool pool(std::min<unsigned>(
         threads, static_cast<unsigned>(std::min<std::size_t>(plan.size(), 4096))));
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      pool.submit([&, i] {
-        const WindowRange& w = plan[i];
-        const std::unique_ptr<RecordStream> stream = factory();
-        WindowRun run;
-        run.open(cfg_, stream->program(), w.warmup);
-        stream->feed_range(w.begin, w.end(),
-                           [&](const TraceRecord& rec) { run.feed(rec, w.warmup); });
-        valid[i] = close_window(w, run, wt, stats[i]);
-      });
-    }
+    for (std::size_t i = 0; i < plan.size(); ++i)
+      pool.submit([&, i] { slots[i] = simulate_window(cfg, *factory(), plan[i]); });
     pool.wait_idle();
   }
-
-  // Splice measured windows in trace order.
-  u64 dl0_hits = 0, dl0_accesses = 0, ul1_hits = 0, ul1_accesses = 0;
-  bool first = true;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (!valid[i]) continue;
-    if (first) {
-      result.total = stats[i].measured;  // adopts workload/config strings
-      first = false;
-    } else {
-      accumulate(result.total, stats[i].measured);
-    }
-    dl0_hits += stats[i].dl0_hits;
-    dl0_accesses += stats[i].dl0_accesses;
-    ul1_hits += stats[i].ul1_hits;
-    ul1_accesses += stats[i].ul1_accesses;
-    result.measured_uops += stats[i].measured.uops;
-    result.simulated_uops += stats[i].range.warmup + stats[i].measured.uops;
-    result.windows.push_back(std::move(stats[i]));
-  }
-  if (first) {
-    // The trace ended during the first window's warm-up (e.g. a kernel
-    // halting almost immediately): no measured window exists, fall back.
-    return full_run();
-  }
-  finalize(result.total, wt, dl0_hits, dl0_accesses, ul1_hits, ul1_accesses);
-  return result;
+  std::vector<WindowStats> windows;
+  for (std::vector<WindowStats>& s : slots)
+    if (!s.empty()) windows.push_back(std::move(s.front()));
+  if (windows.empty()) return full_runs(cfg, spec_, factory, trace_len).front();
+  return splice(spec_, trace_len, cfg_.ticks_per_wide_cycle, std::move(windows));
 }
 
 SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& profile,
@@ -257,6 +301,14 @@ SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& 
   if (n_records == 0) n_records = default_trace_len();
   const WindowedSimulator sim(cfg, spec);
   return sim.run(workload_stream_factory(profile, n_records), n_records, threads);
+}
+
+std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
+                                            const WorkloadProfile& profile, u64 n_records,
+                                            const SampleSpec& spec) {
+  HCSIM_CHECK(!cfgs.empty(), "simulate_configs: no machine config");
+  if (n_records == 0) n_records = default_trace_len();
+  return sampled_pass(cfgs, spec, workload_stream_factory(profile, n_records), n_records);
 }
 
 SampledResult simulate_sampled(const MachineConfig& cfg, const Trace& trace,

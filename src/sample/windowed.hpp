@@ -12,9 +12,14 @@
 // Because a window is a pure function of (machine config, program, record
 // range), the serial run (one stream, one forward pass) and the parallel run
 // (windows sliced across an exp::ThreadPool, one fresh stream per job) are
-// bit-identical — enforced by tests/test_sample.cpp.
+// bit-identical — enforced by tests/test_sample.cpp. For the same reason one
+// serial pass can serve several machine configs at once: each window
+// cold-starts a pipeline per config and feeds them all the same record
+// spans, so the configs of a sweep cell (the baseline plus its variants)
+// can read their trace once instead of once per config.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,10 +60,10 @@ class WindowedSimulator {
   WindowedSimulator(const MachineConfig& cfg, const SampleSpec& spec);
 
   /// Run the schedule over one trace. threads <= 1: serial, a single
-  /// forward pass over one stream. threads > 1: every window is an
-  /// independent slice job on a thread pool, each opening its own stream
-  /// and cold-starting at its warm-up boundary. Results are bit-identical
-  /// across thread counts.
+  /// forward pass over one stream (the one-config case of the multi-config
+  /// simulate_sampled). threads > 1: every window is an independent slice
+  /// job on a thread pool, each opening its own stream and cold-starting at
+  /// its warm-up boundary. Results are bit-identical across thread counts.
   SampledResult run(const StreamFactory& factory, u64 trace_len,
                     unsigned threads = 1) const;
 
@@ -73,6 +78,17 @@ class WindowedSimulator {
 SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& profile,
                                u64 n_records, const SampleSpec& spec,
                                unsigned threads = 1);
+
+/// Every config of `cfgs` over the same workload trace in one serial pass:
+/// one stream, and each window feeds a cold pipeline per config the same
+/// record spans. With a disabled spec (or no measurable window) every
+/// pipeline is fed the whole trace instead. Result k is bit-identical to
+/// simulate_sampled(cfgs[k], profile, n_records, spec), and its `total` to
+/// simulate_workload(cfgs[k], profile, n_records) under `spec` as the
+/// active spec; the trace is read once, not once per config.
+std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
+                                            const WorkloadProfile& profile, u64 n_records,
+                                            const SampleSpec& spec);
 
 /// Sampled run over an already-materialized trace (loaded .hctrace files).
 SampledResult simulate_sampled(const MachineConfig& cfg, const Trace& trace,

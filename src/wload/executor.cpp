@@ -89,8 +89,11 @@ std::array<u32, kNumRegs> initial_regs() {
 /// Interpret the µop at `pc`, updating `regs`/`mem`/`pc` (with program
 /// restart), and return its dynamic record. Shared by the materializing
 /// executor and the streaming cursor so both emit bit-identical streams.
-TraceRecord step_uop(const Program& program, std::array<u32, kNumRegs>& regs,
-                     SyntheticMemory& mem, u32& pc) {
+/// Always inlined: ProgramTraceCursor::skip discards the record, and only
+/// an inlined copy lets the compiler drop the stores that build it.
+[[gnu::always_inline]] inline TraceRecord step_uop(const Program& program,
+                                                   std::array<u32, kNumRegs>& regs,
+                                                   SyntheticMemory& mem, u32& pc) {
   const u32 n_static = static_cast<u32>(program.uops.size());
   const StaticUop& u = program.uops[pc];
   TraceRecord r;
@@ -214,6 +217,13 @@ std::span<const TraceRecord> ProgramTraceCursor::next_chunk() {
     buf_.push_back(step_uop(program_, regs_, mem_, pc_));
   remaining_ -= n;
   return buf_;
+}
+
+u64 ProgramTraceCursor::skip(u64 n) {
+  n = std::min(n, remaining_);
+  for (u64 i = 0; i < n; ++i) (void)step_uop(program_, regs_, mem_, pc_);
+  remaining_ -= n;
+  return n;
 }
 
 Trace generate_trace(const WorkloadProfile& profile, u64 n_records) {

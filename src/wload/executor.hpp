@@ -63,6 +63,13 @@ class ProgramTraceCursor final : public TraceCursor {
   const Program& program() const override { return program_; }
   std::span<const TraceRecord> next_chunk() override;
 
+  /// Advance past the next `n` records without building them: the
+  /// interpreter still steps (registers, memory and pc evolve exactly as if
+  /// the records were generated), so the following next_chunk() starts at
+  /// the record a generate-and-drop seek would reach. Returns the number of
+  /// records actually skipped, short when the trace ends first.
+  u64 skip(u64 n);
+
  private:
   Program program_;
   WorkloadProfile profile_;  // mem_ keeps a reference into this copy

@@ -5,11 +5,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <set>
+#include <string>
 
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "sample/spec.hpp"
 #include "sim/simulator.hpp"
 
 namespace hcsim::exp {
@@ -177,6 +180,64 @@ TEST(Runner, BaselineSharedAcrossVariantsOfOneApp) {
   EXPECT_EQ(r.points[0].sim.config, "8_8_8");
   EXPECT_EQ(r.points[1].sim.config, "8_8_8+BR+LR+CR");
   EXPECT_EQ(r.points[0].baseline.config, "baseline");
+}
+
+TEST(Runner, CellPassMatchesPerPointRuns) {
+  // Above a lowered stream threshold a sampled sweep feeds several configs
+  // of a cell from one record stream: the generator for fig12 (12 cells of
+  // 3 configs) and the RV kernel for rv (8 cells of 8). Thread counts 1-16
+  // split a cell's configs over 1, 2, 3 or 4 jobs; an unsampled sweep runs
+  // one job per config. Either way the CSV must equal the one assembled
+  // from separate simulate_workload calls per cell baseline and per point.
+  const char* old_threshold = std::getenv("HCSIM_STREAM_THRESHOLD");
+  const std::string saved = old_threshold ? old_threshold : "";
+  setenv("HCSIM_STREAM_THRESHOLD", "1000", 1);
+  sample::SampleSpec sampling;
+  sampling.warmup = 500;
+  sampling.measure = 1500;
+  sampling.period = 4000;
+
+  for (const sample::SampleSpec& active : {sample::SampleSpec{}, sampling}) {
+    SCOPED_TRACE(active.enabled() ? "sampled" : "full");
+    sample::set_active_sample_spec(active);
+    for (const char* name : {"fig12", "rv"}) {
+      SCOPED_TRACE(name);
+      SweepSpec spec = *find_sweep(name);
+      spec.trace_lens = {12000};
+      SweepResult per_point;
+      for (const ExperimentPoint& p : expand(spec)) {
+        PointResult pr;
+        pr.point = p;
+        pr.baseline = simulate_workload(spec.baseline, p.profile, p.n_records);
+        pr.sim = simulate_workload(p.variant.machine, p.profile, p.n_records);
+        pr.power_baseline = analyze_power(pr.baseline, spec.baseline);
+        pr.power_sim = analyze_power(pr.sim, p.variant.machine);
+        per_point.points.push_back(std::move(pr));
+      }
+      const std::string want = to_csv(per_point);
+      for (unsigned threads : {1u, 4u, 8u, 16u}) {
+        RunOptions opts;
+        opts.threads = threads;
+        std::set<u32> seen;
+        u64 calls = 0;
+        opts.on_point = [&](const PointResult& pr, u64 done, u64 total) {
+          seen.insert(pr.point.index);
+          EXPECT_EQ(done, ++calls);
+          EXPECT_EQ(total, per_point.points.size());
+        };
+        const SweepResult r = run_sweep(spec, opts);
+        EXPECT_EQ(to_csv(r), want) << threads << " threads";
+        EXPECT_EQ(calls, per_point.points.size());
+        EXPECT_EQ(seen.size(), per_point.points.size());
+      }
+    }
+  }
+
+  sample::set_active_sample_spec(sample::SampleSpec{});
+  if (old_threshold)
+    setenv("HCSIM_STREAM_THRESHOLD", saved.c_str(), 1);
+  else
+    unsetenv("HCSIM_STREAM_THRESHOLD");
 }
 
 // --- reporting --------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "rv/kernels.hpp"
 #include "sample/record_stream.hpp"
@@ -264,6 +265,48 @@ TEST(Windowed, RvKernelStreamBitIdentical) {
   expect_identical(executor, simulate_sampled(cfg, prof, kLen, spec, 4));
 }
 
+TEST(Windowed, RvKernelStreamEndsWhereKernelTraceEnds) {
+  // A kernel still running at the trace length is cut at an instruction
+  // boundary: dot's instruction at µop 11999 cracks into two µops, so its
+  // 12000-µop trace holds 11999. The stream, a window ending at the trace
+  // length and the full pass all stop where kernel_trace stops.
+  EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  const WorkloadProfile prof = rv::rv_workload_profile("dot");
+  const Trace trace = rv::kernel_trace("dot", 12000);
+  ASSERT_EQ(trace.records.size(), 11999u);
+  std::vector<TraceRecord> streamed;
+  workload_stream_factory(prof, 12000)()->feed_range(
+      0, 12000, [&streamed](const TraceRecord& r) { streamed.push_back(r); });
+  ASSERT_EQ(streamed.size(), trace.records.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    ASSERT_EQ(streamed[i].pc, trace.records[i].pc) << "record " << i;
+    ASSERT_EQ(streamed[i].result, trace.records[i].result) << "record " << i;
+    ASSERT_EQ(streamed[i].mem_addr, trace.records[i].mem_addr) << "record " << i;
+  }
+  // Rewinding to a checkpoint taken before the cut replays up to it again.
+  const std::unique_ptr<RecordStream> stream = workload_stream_factory(prof, 12000)();
+  u64 fed = 0;
+  const auto count = [&fed](const TraceRecord&) { ++fed; };
+  stream->feed_range(3000, 4000, count);  // checkpoints the cursor at 3000
+  stream->feed_range(4000, 12000, count);
+  ASSERT_TRUE(stream->try_rewind(3000));
+  stream->feed_range(3000, 12000, count);
+  EXPECT_EQ(fed, 2 * (trace.records.size() - 3000));
+
+  SampleSpec spec;
+  spec.warmup = 500;
+  spec.measure = 1500;
+  spec.period = 2500;  // the last window is [10000, 12000)
+  const MachineConfig cfg = helper_machine(steering_888_br_lr_cr());
+  const SampledResult sampled = simulate_sampled(cfg, prof, 12000, spec, 1);
+  EXPECT_EQ(sampled.windows.back().range.measure, 1499u);
+  expect_identical(sampled, simulate_sampled(cfg, trace, spec, 1));
+  expect_identical(sampled, simulate_sampled(cfg, prof, 12000, spec, 3));
+  const std::vector<SampledResult> full =
+      simulate_configs(std::span<const MachineConfig>(&cfg, 1), prof, 12000, SampleSpec{});
+  expect_identical(full.front().total, simulate_streamed(cfg, prof, 12000));
+}
+
 TEST(Windowed, FallsBackToFullRunOnShortTrace) {
   SampleSpec spec;
   spec.warmup = 50000;  // longer than the whole trace
@@ -291,6 +334,137 @@ TEST(Windowed, MeasuredUopsAddUp) {
   EXPECT_EQ(r.simulated_uops, simulated);
   EXPECT_EQ(r.total.uops, measured);
   EXPECT_LT(r.simulated_uops, kLen);  // sampling actually skipped something
+}
+
+// --- one pass, several configs ----------------------------------------------
+
+/// A sweep cell's configs: the baseline first, then helper variants.
+std::vector<MachineConfig> cell_configs() {
+  return {monolithic_baseline(), helper_machine(steering_888()),
+          helper_machine(steering_888_br_lr_cr())};
+}
+
+/// The multi-config pass against one single-config run per config, field by
+/// field.
+void expect_pass_matches_single_runs(const std::vector<MachineConfig>& cfgs,
+                                     const WorkloadProfile& prof, u64 len,
+                                     const SampleSpec& spec) {
+  const std::vector<SampledResult> pass = simulate_configs(cfgs, prof, len, spec);
+  ASSERT_EQ(pass.size(), cfgs.size());
+  for (std::size_t k = 0; k < cfgs.size(); ++k) {
+    SCOPED_TRACE("config " + std::to_string(k));
+    const SampledResult single = simulate_sampled(cfgs[k], prof, len, spec, 1);
+    EXPECT_EQ(pass[k].trace_len, single.trace_len);
+    EXPECT_EQ(pass[k].total.config, single.total.config);
+    expect_identical(pass[k], single);
+  }
+}
+
+TEST(MultiConfig, OneConfigIsTheSingleRun) {
+  EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");  // generator stream
+  expect_pass_matches_single_runs({helper_machine(steering_ir())}, spec_profile("gcc"),
+                                  kLen, test_spec());
+}
+
+TEST(MultiConfig, EightConfigsOnEveryBackend) {
+  // Eight configs, two of them repeated: pipelines fed the same spans must
+  // not interact.
+  std::vector<MachineConfig> cfgs = cell_configs();
+  cfgs.push_back(helper_machine(steering_ir()));
+  cfgs.push_back(helper_machine(steering_888_br_lr_cr()));  // duplicate of cfgs[2]
+  cfgs.push_back(monolithic_baseline());                    // duplicate of cfgs[0]
+  cfgs.push_back(helper_machine(steering_888_br()));
+  cfgs.push_back(helper_machine(steering_888_br_lr()));
+  ASSERT_EQ(cfgs.size(), 8u);
+  {
+    SCOPED_TRACE("materialized");
+    expect_pass_matches_single_runs(cfgs, spec_profile("vpr"), kLen, test_spec());
+  }
+  EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  {
+    SCOPED_TRACE("generator");
+    expect_pass_matches_single_runs(cfgs, spec_profile("vpr"), kLen, test_spec());
+  }
+  {
+    SCOPED_TRACE("rv kernel");
+    expect_pass_matches_single_runs(cfgs, rv::rv_workload_profile("crc32"), kLen,
+                                    test_spec());
+  }
+}
+
+TEST(MultiConfig, TraceEndingMidWindow) {
+  // crc32 halts after 34336 µops: the window at 33000 measures only part of
+  // its 1500 µops, and the planned windows after it never start.
+  EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  SampleSpec spec;
+  spec.warmup = 500;
+  spec.measure = 1500;
+  spec.period = 3000;
+  const WorkloadProfile prof = rv::rv_workload_profile("crc32");
+  const std::vector<SampledResult> pass =
+      simulate_configs(cell_configs(), prof, 40000, spec);
+  ASSERT_TRUE(pass.front().sampled);
+  const WindowStats& last = pass.front().windows.back();
+  EXPECT_EQ(last.range.begin, 33000u);
+  EXPECT_GT(last.range.measure, 0u);
+  EXPECT_LT(last.range.measure, spec.measure);
+  expect_pass_matches_single_runs(cell_configs(), prof, 40000, spec);
+
+  // The generator's last planned window cut short by the trace length.
+  spec.period = 6500;
+  expect_pass_matches_single_runs(cell_configs(), spec_profile("bzip2"), 20000, spec);
+}
+
+TEST(MultiConfig, EmptyPlanFallsBackToFullRuns) {
+  SampleSpec spec;
+  spec.warmup = 50000;  // longer than the whole trace: no window planned
+  spec.measure = 1000;
+  const WorkloadProfile& mcf = spec_profile("mcf");
+  const std::vector<MachineConfig> cfgs = cell_configs();
+  const std::vector<SampledResult> pass = simulate_configs(cfgs, mcf, 10000, spec);
+  ASSERT_EQ(pass.size(), cfgs.size());
+  for (std::size_t k = 0; k < cfgs.size(); ++k) {
+    EXPECT_FALSE(pass[k].sampled);
+    expect_identical(pass[k].total, simulate(cfgs[k], cached_trace(mcf, 10000)));
+  }
+  expect_pass_matches_single_runs(cfgs, mcf, 10000, spec);
+
+  // A window is planned but the kernel halts during its warm-up.
+  EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  spec.warmup = 35000;
+  const WorkloadProfile prof = rv::rv_workload_profile("crc32");
+  ASSERT_EQ(plan_windows(spec, 40000).size(), 1u);
+  EXPECT_FALSE(simulate_configs(cell_configs(), prof, 40000, spec).front().sampled);
+  expect_pass_matches_single_runs(cell_configs(), prof, 40000, spec);
+}
+
+TEST(MultiConfig, DisabledSpecMatchesSimulateWorkload) {
+  // Unsampled sweeps take the same pass: every pipeline is fed the whole
+  // trace, and must equal simulate_workload's cached, generator and RV
+  // kernel routes.
+  const std::vector<MachineConfig> cfgs = cell_configs();
+  const auto check = [&cfgs](const WorkloadProfile& prof) {
+    const std::vector<SampledResult> pass = simulate_configs(cfgs, prof, 20000, SampleSpec{});
+    ASSERT_EQ(pass.size(), cfgs.size());
+    for (std::size_t k = 0; k < cfgs.size(); ++k) {
+      SCOPED_TRACE("config " + std::to_string(k));
+      EXPECT_FALSE(pass[k].sampled);
+      expect_identical(pass[k].total, simulate_workload(cfgs[k], prof, 20000));
+    }
+  };
+  {
+    SCOPED_TRACE("materialized");
+    check(spec_profile("twolf"));
+  }
+  EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  {
+    SCOPED_TRACE("generator");
+    check(spec_profile("twolf"));
+  }
+  {
+    SCOPED_TRACE("rv kernel");
+    check(rv::rv_workload_profile("crc32"));
+  }
 }
 
 // --- sampling through simulate_workload -------------------------------------

@@ -3,8 +3,10 @@
 // is bit-identical to the materialized-vector path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "rv/kernels.hpp"
 #include "sim/simulator.hpp"
@@ -49,6 +51,45 @@ TEST(Streaming, CursorReproducesExecuteProgram) {
     }
   }
   EXPECT_EQ(i, trace.records.size());
+}
+
+TEST(Streaming, CursorSkipMatchesGenerateAndDrop) {
+  // skip(n) steps the interpreter without building records; the records
+  // that follow must be exactly those a cursor that generated and dropped
+  // the same records delivers. Cases: n = 0 at the start and mid-chunk, a
+  // skip across a chunk boundary, and skips to and past the end.
+  const WorkloadProfile& prof = spec_profile("gcc");
+  const Program program = generate_program(prof);
+  constexpr std::size_t kChunk = 777;
+  const auto drain = [](ProgramTraceCursor& cursor) {
+    std::vector<TraceRecord> out;
+    for (auto chunk = cursor.next_chunk(); !chunk.empty(); chunk = cursor.next_chunk())
+      out.insert(out.end(), chunk.begin(), chunk.end());
+    return out;
+  };
+  ProgramTraceCursor reference(program, prof, kLen, kChunk);
+  const std::vector<TraceRecord> all = drain(reference);
+  ASSERT_EQ(all.size(), kLen);
+
+  struct Case {
+    int chunks_before;  // next_chunk() calls before the skip
+    u64 n;
+  };
+  for (const Case c : {Case{0, 0}, Case{1, 0}, Case{0, 500}, Case{1, 1000},
+                       Case{2, kLen - 2 * kChunk}, Case{1, kLen}}) {
+    SCOPED_TRACE("chunks_before=" + std::to_string(c.chunks_before) +
+                 " n=" + std::to_string(c.n));
+    ProgramTraceCursor cursor(program, prof, kLen, kChunk);
+    u64 pos = 0;
+    for (int i = 0; i < c.chunks_before; ++i) pos += cursor.next_chunk().size();
+    const u64 skipped = cursor.skip(c.n);
+    EXPECT_EQ(skipped, std::min(c.n, kLen - pos));  // short only past the end
+    pos += skipped;
+    const std::vector<TraceRecord> rest = drain(cursor);
+    ASSERT_EQ(rest.size(), kLen - pos);
+    for (std::size_t i = 0; i < rest.size(); ++i)
+      ASSERT_TRUE(records_equal(rest[i], all[pos + i])) << "record " << pos + i;
+  }
 }
 
 TEST(Streaming, KernelStreamReproducesKernelTrace) {

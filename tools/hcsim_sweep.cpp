@@ -28,8 +28,9 @@
 // --connect. Because every job is a pure function of its request, the CSV
 // is byte-identical to an uninterrupted in-process run no matter how the
 // transport behaved. --compare-full needs per-point data and is not
-// available in fault-tolerant mode. --timeout-ms bounds each protocol frame
-// (default: block forever).
+// available in fault-tolerant mode, nor is a zero --sample-warmup (a job
+// request's zero warm-up means the default). --timeout-ms bounds each
+// protocol frame (default: block forever).
 //
 // Exit codes: 0 success; 1 runtime failure (I/O, --max-rel-err exceeded);
 // 2 usage error or unknown sweep; 3 connect/transport failure after retries
@@ -294,6 +295,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "--compare-full/--max-rel-err need a full in-process run "
                    "and are not available with --connect/--journal-dir\n");
+      return 2;
+    }
+    // A job request's zero warm-up means "the default" (and journaled job
+    // ids hash the field as sent), so the in-process "no warm-up" cannot be
+    // expressed here; refuse it rather than run a different schedule.
+    if (sampled && sample_spec.warmup == 0) {
+      std::fprintf(stderr,
+                   "--sample-warmup 0 (or HCSIM_SAMPLE_WARMUP=0) is not available with "
+                   "--connect/--journal-dir: a zero warm-up there means the default "
+                   "(%llu)\n",
+                   static_cast<unsigned long long>(sample::kDefaultWarmup));
       return 2;
     }
     if (sweep_name.empty()) return usage(argv[0]);
