@@ -73,10 +73,7 @@ void ClusterEpoch::gc_ring(SlotRing& r, u64 new_base) {
     std::fill(r.used.begin(), r.used.end(), u8{0});
     std::fill(r.full.begin(), r.full.end(), u64{0});
   } else {
-    for (u64 c = r.base; c < new_base; ++c) {
-      r.used[c & kMask] = 0;
-      r.full[(c & kMask) >> 6] &= ~(u64{1} << (c & 63));
-    }
+    clear_slot_cycles(r.used, r.full, r.base, new_base);
   }
   r.base = new_base;
 }

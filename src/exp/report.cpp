@@ -217,8 +217,9 @@ double max_sampling_rel_error(const SweepResult& full, const SweepResult& sample
   check_same_shape(full, sampled);
   double worst = 0.0;
   for (std::size_t i = 0; i < full.points.size(); ++i)
-    worst = std::max(worst, sample::max_rel_error(sample::sampling_errors(
-                                full.points[i].sim, sampled.points[i].sim)));
+    for (const sample::SampleError& e :
+         sample::sampling_errors(full.points[i].sim, sampled.points[i].sim))
+      if (!e.metric.starts_with("counter/stall_")) worst = std::max(worst, e.rel_err);
   return worst;
 }
 

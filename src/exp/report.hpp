@@ -59,6 +59,10 @@ std::string render_sampling_error(const SweepResult& full, const SweepResult& sa
 
 /// Worst per-point per-metric relative error between the two runs — the
 /// bound CI and tests gate on. Fatal if the sweeps have different shapes.
+/// The five counter/stall_* rates are left out of the bound (still
+/// rendered): they are per-stage diagnostics that never feed back into
+/// timing, and a cold window's extra misses move them far more than any
+/// paper metric.
 double max_sampling_rel_error(const SweepResult& full, const SweepResult& sampled);
 
 }  // namespace hcsim::exp

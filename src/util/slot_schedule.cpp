@@ -1,6 +1,36 @@
 #include "util/slot_schedule.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 namespace hcsim {
+
+namespace {
+
+/// Clear ring positions [p, q), 0 <= p < q <= kSlotWindowCycles.
+void clear_positions(u8* used, u64* full, u64 p, u64 q) {
+  std::memset(used + p, 0, q - p);
+  const u64 w0 = p >> 6, w1 = (q - 1) >> 6;
+  const u64 first = ~u64{0} << (p & 63);             // bits >= p in word w0
+  const u64 last = ~u64{0} >> (63 - ((q - 1) & 63));  // bits <= q - 1 in word w1
+  if (w0 == w1) {
+    full[w0] &= ~(first & last);
+    return;
+  }
+  full[w0] &= ~first;
+  std::fill(full + w0 + 1, full + w1, u64{0});
+  full[w1] &= ~last;
+}
+
+}  // namespace
+
+void clear_slot_cycles(std::vector<u8>& used, std::vector<u64>& full, u64 from, u64 to) {
+  const u64 p = from & (kSlotWindowCycles - 1);
+  const u64 n = to - from;
+  const u64 head = std::min(n, kSlotWindowCycles - p);  // positions before the ring end
+  clear_positions(used.data(), full.data(), p, p + head);
+  if (head < n) clear_positions(used.data(), full.data(), 0, n - head);
+}
 
 // --- SlotSchedule -----------------------------------------------------------
 
@@ -10,10 +40,7 @@ void SlotSchedule::gc_to(u64 new_base) {
     std::fill(used_.begin(), used_.end(), u8{0});
     std::fill(full_.begin(), full_.end(), u64{0});
   } else {
-    for (u64 c = base_; c < new_base; ++c) {
-      used_[c & kMask] = 0;
-      full_[(c & kMask) >> 6] &= ~(u64{1} << (c & 63));
-    }
+    clear_slot_cycles(used_, full_, base_, new_base);
   }
   base_ = new_base;
 }

@@ -34,6 +34,12 @@ namespace hcsim {
 /// pipeline performs.
 inline constexpr u64 kSlotWindowCycles = u64{1} << 16;
 
+/// Window GC of a slot ring (kSlotWindowCycles per-cycle counts plus their
+/// full-cycle bitmap), shared by SlotSchedule and ClusterEpoch: zero the
+/// counts of cycles [from, to) and clear their full bits a bitmap word at a
+/// time. Requires from < to and to - from < kSlotWindowCycles.
+void clear_slot_cycles(std::vector<u8>& used, std::vector<u64>& full, u64 from, u64 to);
+
 /// Result of a free-slot range probe (the NREADY imbalance metric).
 struct SlotRangeProbe {
   bool free = false;

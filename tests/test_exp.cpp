@@ -306,5 +306,32 @@ TEST(Report, RenderSummaryMentionsEveryVariant) {
   EXPECT_NE(table.find("perf+% (avg)"), std::string::npos);
 }
 
+TEST(Report, SamplingBoundIgnoresStallCountersButNotIpc) {
+  // One point, sampled equal to full except where each case says.
+  SweepResult full;
+  full.points.resize(1);
+  full.points[0].point.profile.name = "gcc";
+  full.points[0].point.variant.name = "8_8_8";
+  SimResult& f = full.points[0].sim;
+  f.uops = 1000;
+  f.ipc = 1.5;
+  f.counters[Counter::kStallCommit] = 50;
+  f.counters[Counter::kStallQueue] = 10;
+  SweepResult sampled = full;
+  SimResult& s = sampled.points[0].sim;
+
+  // A cold window's stall counters can be off by 10x and more: reported,
+  // but outside the bound.
+  s.counters[Counter::kStallCommit] = 500;
+  s.counters[Counter::kStallQueue] = 400;
+  EXPECT_EQ(max_sampling_rel_error(full, sampled), 0.0);
+  EXPECT_NE(render_sampling_error(full, sampled).find("counter/stall_commit"),
+            std::string::npos);
+
+  // A paper metric still trips it: 3x the IPC is a relative error of 2.
+  s.ipc = 3 * f.ipc;
+  EXPECT_DOUBLE_EQ(max_sampling_rel_error(full, sampled), 2.0);
+}
+
 }  // namespace
 }  // namespace hcsim::exp

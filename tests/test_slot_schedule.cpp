@@ -208,6 +208,87 @@ TEST(SlotSchedule, FreeSlotInWideClockProbesWholeCycles) {
   EXPECT_TRUE(s.free_slot_in(2, 9).free);  // cycle 4 is past the frontier
 }
 
+// --- clear_slot_cycles vs the per-cycle GC loop -----------------------------
+
+// The loop SlotSchedule::gc_to and ClusterEpoch::gc_ring ran before both
+// called the shared word-at-a-time clear: the reference behaviour.
+void clear_slot_cycles_ref(std::vector<u8>& used, std::vector<u64>& full, u64 from, u64 to) {
+  constexpr u64 kMask = kSlotWindowCycles - 1;
+  for (u64 c = from; c < to; ++c) {
+    used[c & kMask] = 0;
+    full[(c & kMask) >> 6] &= ~(u64{1} << (c & 63));
+  }
+}
+
+// Fills a ring with random counts and full bits (deliberately unrelated, so a
+// bit cleared outside the range or a count left inside it shows), clears
+// [from, to) with both routines and compares every byte and word.
+void expect_clear_matches_ref(u64 from, u64 to, u64 seed) {
+  std::vector<u8> used(kSlotWindowCycles);
+  std::vector<u64> full(kSlotWindowCycles / 64);
+  u64 x = seed * 0x9E3779B97F4A7C15ull + 1;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (u8& u : used) u = static_cast<u8>(next() | 1);
+  for (u64& w : full) w = next();
+  std::vector<u8> used_ref = used;
+  std::vector<u64> full_ref = full;
+  clear_slot_cycles(used, full, from, to);
+  clear_slot_cycles_ref(used_ref, full_ref, from, to);
+  EXPECT_TRUE(used == used_ref) << "counts differ for [" << from << ", " << to << ")";
+  EXPECT_TRUE(full == full_ref) << "bitmap differs for [" << from << ", " << to << ")";
+}
+
+TEST(SlotRingClear, EdgeLengthsAndAlignments) {
+  constexpr u64 W = kSlotWindowCycles;
+  const u64 lengths[] = {1, 63, 64, 65, 127, W - 1};
+  // Starts on, just before and just after a 64-cycle word boundary, near the
+  // ring end (so the range wraps) and in later laps of the ring.
+  const u64 starts[] = {0,      1,      63,     64,     65,         128,        4096 - 1,
+                        W - 65, W - 64, W - 63, W - 1,  W,          3 * W + 17, 5 * W - 64,
+                        7 * W - 1};
+  u64 seed = 0;
+  for (const u64 len : lengths)
+    for (const u64 from : starts) expect_clear_matches_ref(from, from + len, ++seed);
+}
+
+TEST(SlotRingClear, RangesEndingOnWordBoundaries) {
+  constexpr u64 W = kSlotWindowCycles;
+  u64 seed = 100;
+  for (const u64 to : {u64{64}, u64{128}, W, W + 64, 2 * W, 9 * W - 192})
+    for (const u64 len : {u64{1}, u64{63}, u64{64}, u64{65}, u64{200}, W - 1})
+      if (len <= to) expect_clear_matches_ref(to - len, to, ++seed);
+}
+
+TEST(SlotRingClear, RangesWrappingPastTheRingEnd) {
+  constexpr u64 W = kSlotWindowCycles;
+  u64 seed = 200;
+  for (const u64 lap : {u64{0}, u64{1}, u64{40}})
+    for (const u64 before_end : {u64{1}, u64{5}, u64{64}, u64{100}, W - 1})
+      for (const u64 after_end : {u64{1}, u64{63}, u64{64}, u64{65}, u64{1000}})
+        if (before_end + after_end < W) {
+          const u64 end = (lap + 1) * W;
+          expect_clear_matches_ref(end - before_end, end + after_end, ++seed);
+        }
+}
+
+TEST(SlotRingClear, RandomRangesMatchTheReference) {
+  u64 x = 12345;
+  for (int i = 0; i < 1000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const u64 from = (x >> 20) % (u64{1} << 40);
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    // Half the lengths are short (the common single-miss slide), half span
+    // most of the window.
+    const u64 len = (i & 1) ? 1 + (x >> 33) % 1024 : 1 + (x >> 33) % (kSlotWindowCycles - 1);
+    expect_clear_matches_ref(from, from + len, static_cast<u64>(i));
+  }
+}
+
 class SlotScheduleWidths : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SlotScheduleWidths, ThroughputMatchesWidth) {
