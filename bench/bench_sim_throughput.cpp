@@ -8,7 +8,6 @@
 #include "bbcache/bb_cache.hpp"
 #include "core/cluster_epoch.hpp"
 #include "predict/width_predictor.hpp"
-#include "util/slot_schedule.hpp"
 #include "sample/spec.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
@@ -139,36 +138,13 @@ void BM_ClusterEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterEpoch);
 
-void BM_SlotScheduleRef(benchmark::State& state) {
-  // The legacy triple (SlotSchedule + QueueTracker + copy SlotSchedule)
-  // under the identical dispatch stream: the per-probe reference for
-  // BM_ClusterEpoch, kept alive by the HCSIM_EPOCH=0 path.
-  SlotSchedule slots(3, 2);
-  QueueTracker queue(32);
-  Tick from = 0;
-  u32 x = 1;
-  u64 sum = 0;
-  for (auto _ : state) {
-    x = x * 1664525u + 1013904223u;
-    from += x % 3;
-    const Tick qdisp = queue.earliest_dispatch(from);
-    const Tick src = from + (x >> 16) % 8;
-    const Tick issue = slots.reserve(src > qdisp ? src : qdisp);
-    queue.add(issue);
-    sum += issue;
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
-}
-BENCHMARK(BM_SlotScheduleRef);
-
-// The two series above never slide a ring window by more than a few cycles,
-// so they cannot see window GC. On the Table 1 machine every UL1 miss
-// makes a µop's sources ready 450 wide cycles (900 ticks) later, and the ROB
-// fills behind it, so dispatch resumes that much later too: each miss slides
-// every ring window by hundreds of cycles. The *Ul1Miss twins replay the
-// same dispatch stream with such a miss on every 32nd dispatch; the stream
-// crosses the 65,536-cycle window every ~4,500 dispatches.
+// BM_ClusterEpoch never slides a ring window by more than a few cycles, so
+// it cannot see window GC. On the Table 1 machine every UL1 miss makes a
+// µop's sources ready 450 wide cycles (900 ticks) later, and the ROB fills
+// behind it, so dispatch resumes that much later too: each miss slides
+// every ring window by hundreds of cycles. BM_ClusterEpochUl1Miss replays
+// the same dispatch stream with such a miss on every 32nd dispatch; the
+// stream crosses the 65,536-cycle window every ~4,500 dispatches.
 constexpr Tick kMissTicks = 900;
 constexpr u32 kMissEvery = 32;
 
@@ -192,28 +168,6 @@ void BM_ClusterEpochUl1Miss(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 BENCHMARK(BM_ClusterEpochUl1Miss);
-
-void BM_SlotScheduleRefUl1Miss(benchmark::State& state) {
-  SlotSchedule slots(3, 2);
-  QueueTracker queue(32);
-  Tick from = 0;
-  u32 x = 1, n = 0;
-  u64 sum = 0;
-  for (auto _ : state) {
-    x = x * 1664525u + 1013904223u;
-    from += x % 3;
-    const Tick qdisp = queue.earliest_dispatch(from);
-    const bool miss = ++n % kMissEvery == 0;
-    const Tick src = from + (x >> 16) % 8 + (miss ? kMissTicks : 0);
-    const Tick issue = slots.reserve(src > qdisp ? src : qdisp);
-    queue.add(issue);
-    if (miss) from = src;
-    sum += issue;
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
-}
-BENCHMARK(BM_SlotScheduleRefUl1Miss);
 
 void BM_WidthPredictorTrain(benchmark::State& state) {
   WidthPredictor p;

@@ -1,99 +1,17 @@
 #include "core/cluster_epoch.hpp"
 
-#include <cstdlib>
-
 namespace hcsim {
-
-namespace {
-
-/// -1 = follow the environment; 0/1 = forced by epoch_set_enabled.
-int g_epoch_override = -1;
-
-bool env_epoch_enabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("HCSIM_EPOCH");
-    return v == nullptr || (v[0] != '0' || v[1] != '\0');
-  }();
-  return enabled;
-}
-
-}  // namespace
-
-bool epoch_enabled_default() {
-  const int o = g_epoch_override;
-  return o < 0 ? env_epoch_enabled() : o != 0;
-}
-
-void epoch_set_enabled(bool on) { g_epoch_override = on ? 1 : 0; }
-void epoch_reset_enabled() { g_epoch_override = -1; }
 
 void ClusterEpoch::init(unsigned issue_width, unsigned queue_size,
                         unsigned copy_ports, Tick cycle_ticks) {
-  HCSIM_CHECK(issue_width > 0 && issue_width < 256,
-              "ClusterEpoch issue width out of range");
   HCSIM_CHECK(queue_size > 0, "ClusterEpoch queue size must be positive");
-  HCSIM_CHECK(cycle_ticks > 0, "ClusterEpoch cycle_ticks must be positive");
-  cycle_ticks_ = cycle_ticks;
-  pow2_ = std::has_single_bit(static_cast<u64>(cycle_ticks_));
-  shift_ = static_cast<unsigned>(std::countr_zero(static_cast<u64>(cycle_ticks_)));
+  // The SlotSchedule constructors check the widths and cycle_ticks.
+  issue_ = SlotSchedule(issue_width, cycle_ticks);
+  copy_ = copy_ports > 0 ? SlotSchedule(copy_ports, cycle_ticks) : SlotSchedule();
   size_ = queue_size;
   qring_.assign(kInitialQueueCycles, 0);
   qocc_.assign(kInitialQueueCycles / 64, 0);
   qmask_ = kInitialQueueCycles - 1;
-  issue_.width = issue_width;
-  issue_.used.assign(kWindowCycles, 0);
-  issue_.full.assign(kWindowCycles / 64, 0);
-  copy_.width = copy_ports;
-  if (copy_ports > 0) {
-    copy_.used.assign(kWindowCycles, 0);
-    copy_.full.assign(kWindowCycles / 64, 0);
-  }
-}
-
-u64 ClusterEpoch::first_nonfull(const SlotRing& r, u64 cycle) const {
-  // kWindowCycles is a multiple of 64, so consecutive cycles within one
-  // bitmap word are consecutive ring positions: scan a word at a time.
-  const u64 end = r.frontier + 1;
-  u64 c = cycle;
-  while (c < end) {
-    const u64 pos = c & kMask;
-    const u64 free_bits = ~r.full[pos >> 6] >> (pos & 63);
-    if (free_bits != 0) {
-      const u64 cand = c + static_cast<u64>(std::countr_zero(free_bits));
-      return cand < end ? cand : end;
-    }
-    c += 64 - (pos & 63);
-  }
-  return end;
-}
-
-void ClusterEpoch::gc_ring(SlotRing& r, u64 new_base) {
-  if (new_base <= r.base) return;
-  if (new_base - r.base >= kWindowCycles) {
-    std::fill(r.used.begin(), r.used.end(), u8{0});
-    std::fill(r.full.begin(), r.full.end(), u64{0});
-  } else {
-    clear_slot_cycles(r.used, r.full, r.base, new_base);
-  }
-  r.base = new_base;
-}
-
-SlotRangeProbe ClusterEpoch::free_issue_slot_in(Tick from, Tick until) const {
-  SlotRangeProbe p;
-  if (until <= from) return p;
-  u64 c0 = to_cycle(from);
-  const u64 c1 = to_cycle(until - 1);  // last cycle overlapping the range
-  if (c0 < issue_.base) {
-    p.truncated = true;
-    c0 = issue_.base;
-    if (c0 > c1) return p;
-  }
-  if (c1 > issue_.frontier) {
-    p.free = true;  // cycles past the frontier are empty
-    return p;
-  }
-  p.free = first_nonfull(issue_, c0) <= c1;
-  return p;
 }
 
 u64 ClusterEpoch::next_occupied(u64 from) const {
@@ -146,12 +64,12 @@ void ClusterEpoch::grow_queue(u64 cycle) {
 }
 
 Tick ClusterEpoch::earliest_dispatch_full() const {
-  // QueueTracker::earliest_dispatch_full in the cycle domain: find the
-  // bucket whose departures free the (live_ - size_ + 1)-th entry, with the
-  // (full_at_cycle_, full_slack_) cache amortizing repeated probes while
-  // the queue stays saturated. Invalidation matches the tick-domain rule:
-  // a drain past the cached answer makes head_tick_ exceed its tick.
-  if (head_tick_ > from_cycle(full_at_cycle_)) {
+  // Full: find the bucket whose departures free the (live_ - size_ + 1)-th
+  // entry, with the (full_at_cycle_, full_slack_) cache amortizing repeated
+  // probes while the queue stays saturated. An add beyond the cached answer
+  // costs one unit of slack (see queue_add); a drain past it (head_tick_
+  // beyond its tick) invalidates the cache.
+  if (head_tick_ > issue_.from_cycle(full_at_cycle_)) {
     u64 need = live_ - size_ + 1;
     u64 c = qnext_;  // live_ >= size_ >= 1, so an occupied bucket exists
     for (;;) {
@@ -160,7 +78,7 @@ Tick ClusterEpoch::earliest_dispatch_full() const {
       if (n >= need) {
         full_at_cycle_ = c;
         full_slack_ = static_cast<i64>(n - need);
-        return from_cycle(c);
+        return issue_.from_cycle(c);
       }
       need -= n;
       c = next_occupied(c + 1);
@@ -172,7 +90,7 @@ Tick ClusterEpoch::earliest_dispatch_full() const {
     full_slack_ += static_cast<i64>(qring_[c & qmask_]);
     full_at_cycle_ = c;
   }
-  return from_cycle(full_at_cycle_);
+  return issue_.from_cycle(full_at_cycle_);
 }
 
 }  // namespace hcsim

@@ -1,5 +1,7 @@
 #include "core/machine_config.hpp"
 
+#include <bit>
+
 namespace hcsim {
 
 MachineConfig monolithic_baseline() {
@@ -12,6 +14,41 @@ MachineConfig helper_machine(const SteeringConfig& steer) {
   MachineConfig cfg;
   cfg.steer = steer;
   return cfg;
+}
+
+namespace {
+
+/// Slot ledgers count reservations per cycle in a byte.
+bool slot_width_ok(unsigned w) { return w > 0 && w < 256; }
+
+/// Cache's constructor checks, then the port ledger's.
+std::string cache_error(const CacheConfig& c, const std::string& field) {
+  if (std::string e = cache_config_error(c); !e.empty()) return field + "." + e;
+  if (!slot_width_ok(c.ports)) return field + ".ports must be in 1..255";
+  return "";
+}
+
+}  // namespace
+
+std::string machine_config_error(const MachineConfig& cfg) {
+  if (cfg.fetch_width == 0) return "fetch_width must be positive";
+  if (cfg.rename_width == 0) return "rename_width must be positive";
+  if (cfg.commit_width == 0) return "commit_width must be positive";
+  if (cfg.rob_entries == 0) return "rob_entries must be positive";
+  if (!slot_width_ok(cfg.issue_wide)) return "issue_wide must be in 1..255";
+  if (!slot_width_ok(cfg.issue_helper)) return "issue_helper must be in 1..255";
+  if (!slot_width_ok(cfg.issue_fp)) return "issue_fp must be in 1..255";
+  if (cfg.iq_wide == 0) return "iq_wide must be positive";
+  if (cfg.iq_helper == 0) return "iq_helper must be positive";
+  if (cfg.iq_fp == 0) return "iq_fp must be positive";
+  if (cfg.ticks_per_wide_cycle == 0) return "ticks_per_wide_cycle must be positive";
+  if (!slot_width_ok(cfg.copy_ports)) return "copy_ports must be in 1..255";
+  if (!std::has_single_bit(cfg.wpred.entries))
+    return "wpred.entries must be a power of two";
+  if (!std::has_single_bit(cfg.bpred.entries))
+    return "bpred.entries must be a power of two";
+  if (std::string e = cache_error(cfg.mem.dl0, "mem.dl0"); !e.empty()) return e;
+  return cache_error(cfg.mem.ul1, "mem.ul1");
 }
 
 }  // namespace hcsim

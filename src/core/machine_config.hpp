@@ -1,6 +1,8 @@
 // hcsim — machine configuration (Table 1 baseline + helper cluster knobs).
 #pragma once
 
+#include <string>
+
 #include "mem/memory_system.hpp"
 #include "predict/branch_predictor.hpp"
 #include "predict/width_predictor.hpp"
@@ -46,8 +48,6 @@ struct MachineConfig {
   WidthPredictorConfig wpred;
   BranchPredictorConfig bpred;
   SteeringConfig steer;
-
-  Tick wide_cycle_ticks() const { return ticks_per_wide_cycle; }
 };
 
 /// The paper's baseline monolithic machine (Table 1): helper disabled.
@@ -55,5 +55,12 @@ MachineConfig monolithic_baseline();
 
 /// Baseline + helper cluster with the given steering configuration.
 MachineConfig helper_machine(const SteeringConfig& steer);
+
+/// The first rule `cfg` breaks that the pipeline cannot run with, or "" if
+/// none: the checks Pipeline's components make when built (slot widths,
+/// queue sizes, clock ratio, predictor tables, cache geometry), plus at
+/// least one ROB entry and one copy port. Pipeline aborts on a failing
+/// config; the daemon refuses the job.
+std::string machine_config_error(const MachineConfig& cfg);
 
 }  // namespace hcsim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "util/log.hpp"
 #include "util/narrow.hpp"
@@ -27,9 +28,20 @@ struct Pipeline::CpTrainEntry {
 // Construction
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Checked before any component is built, so a bad config names its rule.
+const MachineConfig& runnable(const MachineConfig& cfg) {
+  const std::string error = machine_config_error(cfg);
+  HCSIM_CHECK(error.empty(), "unrunnable machine config: " + error);
+  return cfg;
+}
+
+}  // namespace
+
 Pipeline::Pipeline(const MachineConfig& cfg, const Program& program,
                    DecodeCache* shared_cache)
-    : cfg_(cfg),
+    : cfg_(runnable(cfg)),
       program_(program),
       policy_(cfg.steer),
       wpred_(cfg.wpred),
@@ -37,30 +49,13 @@ Pipeline::Pipeline(const MachineConfig& cfg, const Program& program,
       memsys_(cfg.mem),
       fetch_slots_(cfg.fetch_width, cfg.ticks_per_wide_cycle),
       rename_slots_(cfg.rename_width, cfg.ticks_per_wide_cycle),
-      rename_mono_slots_(cfg.rename_width, cfg.ticks_per_wide_cycle),
       commit_slots_(cfg.commit_width, cfg.ticks_per_wide_cycle) {
-  epoch_on_ = epoch_enabled_default();
-  if (epoch_on_) {
-    epochs_[kWideIdx].init(cfg.issue_wide, cfg.iq_wide, cfg.copy_ports,
-                           cfg.ticks_per_wide_cycle);
-    epochs_[kHelperIdx].init(cfg.issue_helper, cfg.iq_helper, cfg.copy_ports,
-                             Tick{1});
-    epochs_[kFpIdx].init(cfg.issue_fp, cfg.iq_fp, /*copy_ports=*/0,
+  epochs_[kWideIdx].init(cfg.issue_wide, cfg.iq_wide, cfg.copy_ports,
                          cfg.ticks_per_wide_cycle);
-  } else {
-    issue_slots_[kWideIdx] =
-        std::make_unique<SlotSchedule>(cfg.issue_wide, cfg.ticks_per_wide_cycle);
-    issue_slots_[kHelperIdx] =
-        std::make_unique<SlotSchedule>(cfg.issue_helper, Tick{1});
-    issue_slots_[kFpIdx] =
-        std::make_unique<SlotSchedule>(cfg.issue_fp, cfg.ticks_per_wide_cycle);
-    queues_[kWideIdx] = std::make_unique<QueueTracker>(cfg.iq_wide);
-    queues_[kHelperIdx] = std::make_unique<QueueTracker>(cfg.iq_helper);
-    queues_[kFpIdx] = std::make_unique<QueueTracker>(cfg.iq_fp);
-    copy_slots_[kWideIdx] =
-        std::make_unique<SlotSchedule>(cfg.copy_ports, cfg.ticks_per_wide_cycle);
-    copy_slots_[kHelperIdx] = std::make_unique<SlotSchedule>(cfg.copy_ports, Tick{1});
-  }
+  epochs_[kHelperIdx].init(cfg.issue_helper, cfg.iq_helper, cfg.copy_ports,
+                           Tick{1});
+  epochs_[kFpIdx].init(cfg.issue_fp, cfg.iq_fp, /*copy_ports=*/0,
+                       cfg.ticks_per_wide_cycle);
   regs_ = std::make_unique<std::array<RegState, kNumRegs>>();
   rob_commit_.assign(cfg.rob_entries, 0);
   cp_window_.assign(2 * cfg.rob_entries, CpTrainEntry{});
@@ -73,19 +68,13 @@ Pipeline::Pipeline(const MachineConfig& cfg, const Program& program,
   wt_shift_ = static_cast<unsigned>(std::countr_zero(static_cast<u64>(wide_ticks())));
   // decide() consults issue-queue occupancy only for the IR imbalance
   // trigger and the balance throttle; skipping the occupancy probes
-  // otherwise is output-invisible because QueueTracker's lazy drain is
+  // otherwise is output-invisible because ClusterEpoch's lazy drain is
   // monotonic — any later query drains at least as far.
   needs_occ_ = cfg.steer.helper_enabled && (cfg.steer.ir || cfg.steer.balance_throttle);
   cr_on_ = cfg.steer.cr;
   lr_on_ = cfg.steer.lr;
   cp_on_ = cfg.steer.cp;
   ir_block_on_ = cfg.steer.ir_block;
-  // Out-of-band rename reserves (split, flush refill) exist only with the
-  // helper on, but even those are non-decreasing in the *requested* tick
-  // (dispatch backpressure covers the flush refill), so the epoch engine
-  // uses the two-word monotonic counter unconditionally. The legacy path
-  // keeps the ring ledger for helper configs as the reference behaviour.
-  rename_mono_ = epoch_on_ || !cfg.steer.helper_enabled;
 
   cache_ = shared_cache ? shared_cache : &own_cache_;
   cache_on_ = cache_->enabled();
@@ -111,8 +100,7 @@ Tick Pipeline::schedule_copy(unsigned from, unsigned to, Tick request_tick,
   // is written.
   res_.counters[Counter::kCopyRenameSlots]++;
   const Tick ready = std::max(request_tick, value_ready);
-  const Tick issue = epoch_on_ ? epochs_[from].reserve_copy(ready)
-                               : copy_slots_[from]->reserve(ready);
+  const Tick issue = epochs_[from].reserve_copy(ready);
   const Tick done =
       issue + cycle_ticks(from) + cfg_.copy_transfer_cycles * wide_ticks();
   ++res_.copies;
@@ -182,8 +170,7 @@ void Pipeline::train_cp_window(SeqNum upto_seq) {
 // Memory
 // ---------------------------------------------------------------------------
 
-Tick Pipeline::memory_access(SeqNum seq, u32 addr, bool is_store, bool,
-                             Tick agu_done) {
+Tick Pipeline::memory_access(SeqNum seq, u32 addr, bool is_store, Tick agu_done) {
   const Tick wt = wide_ticks();
   // Runs for every load/store; the tick→wide-cycle ceil-division is a shift
   // for the power-of-two clock ratios (1, 2, 4 — everything but the ratio
@@ -218,15 +205,11 @@ void Pipeline::account_nready(unsigned cluster, bool eligible_other, Tick ready,
   if (issue <= ready) return;
   // A µop counts toward the imbalance metric (at most once) if, during any
   // cycle it sat ready-but-unissued in its own cluster, the other cluster
-  // had an issue slot it could have used (Section 3.7's NREADY). The ring
-  // ledger answers this as a single range probe over [ready, issue) —
-  // arbitrarily long ready→issue gaps are classified exactly (the old
-  // tick-stepping loop silently gave up after 64 samples and, stepping by
-  // the slower cluster's cycle, skipped half the fast-clock cycles).
+  // had an issue slot it could have used (Section 3.7's NREADY). One range
+  // probe over [ready, issue) classifies arbitrarily long ready→issue gaps
+  // exactly, at every cycle of the other cluster's clock.
   const unsigned other = (cluster == kHelperIdx) ? kWideIdx : kHelperIdx;
-  const SlotRangeProbe probe = epoch_on_
-                                   ? epochs_[other].free_issue_slot_in(ready, issue)
-                                   : issue_slots_[other]->free_slot_in(ready, issue);
+  const SlotRangeProbe probe = epochs_[other].free_issue_slot_in(ready, issue);
   if (probe.truncated) res_.counters[Counter::kNreadyTruncations]++;
   if (probe.free) {
     if (cluster == kWideIdx)
@@ -240,17 +223,43 @@ void Pipeline::account_nready(unsigned cluster, bool eligible_other, Tick ready,
 // Main loop
 // ---------------------------------------------------------------------------
 
+Pipeline::SrcWidths Pipeline::scan_src_widths(const TraceRecord& rec,
+                                              const UopTemplate& t,
+                                              Tick disp) const {
+  SrcWidths w;
+  for (u8 j = 0; j < t.n_width_srcs; ++j) {
+    const RegState& st = (*regs_)[t.width_srcs[j]];
+    const bool narrow = st.known_at <= disp ? st.value_narrow : st.pred_narrow;
+    if (!narrow) {
+      ++w.wide;
+      w.wide_val = rec.src_vals[t.width_lane[j]];
+    } else {
+      w.have_narrow = true;
+    }
+    w.all_narrow = w.all_narrow && narrow;
+  }
+  if (t.has_imm) {
+    w.all_narrow = w.all_narrow && t.imm_narrow;
+    if (t.imm_narrow) {
+      w.have_narrow = true;
+    } else {
+      ++w.wide;
+      w.wide_val = t.imm;
+    }
+  }
+  return w;
+}
+
 void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
                            bool result_narrow, u8 src_lanes) {
   const Tick wt = wide_ticks();
   const SeqNum seq = next_seq_++;
 
   // Once-per-µop unconditional counters (kFetched, kWpredLookups,
-  // kCommitted, uops) are bumped en bloc by the feed() overloads.
+  // kCommitted, uops) are bumped en bloc by feed().
 
   // ----- fetch (trace cache, wide clock) --------------------------------
-  const Tick fetch = fetch_slots_.reserve(std::max(fetch_barrier_, last_fetch_));
-  last_fetch_ = fetch;
+  const Tick fetch = fetch_slots_.reserve(fetch_barrier_);
 
   // ----- rename/dispatch --------------------------------------------------
   // The max chain doubles as per-stage stall attribution: whichever term
@@ -273,8 +282,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
   stage = rename_binds ? 3u : stage;
   rename_ready = rename_binds ? last_dispatch_ : rename_ready;
   res_.counters[kStallByStage[stage]]++;
-  const Tick disp = rename_mono_ ? rename_mono_slots_.reserve(rename_ready)
-                                 : rename_slots_.reserve(rename_ready);
+  const Tick disp = rename_slots_.reserve(rename_ready);
   last_dispatch_ = disp;
 
   const bool tracked = t.tracked;
@@ -294,100 +302,45 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
       (src_lanes & t.width_lane_mask) == t.width_lane_mask && t.imm_narrow;
 
   // ----- steering ---------------------------------------------------------
-  SteerDecision decision = SteerDecision::kWide;
-  bool cr_shape = false;
-  u32 wide_src_val = 0;
+  // The source widths feed steering and, under a CR config, the CR-shape
+  // test. A CR-eligible opcode with a memoized kWide verdict still needs
+  // them: it trains the carry predictor, whose table entries alias by PC, so
+  // skipping the training would perturb other µops' carry predictions.
+  SrcWidths srcs;
+  if (!t.static_wide || t.wants_cr) srcs = scan_src_widths(rec, t, disp);
+  // CR shape: exactly one wide source, at least one narrow, additive op,
+  // result expected wide (Section 3.5's 8-32-32 pattern). Only consulted
+  // (and only trained) when the CR scheme is configured.
+  const bool cr_shape = t.wants_cr && srcs.wide == 1 && srcs.have_narrow &&
+                        (!tracked || !rp.narrow);
 
+  SteerDecision decision = SteerDecision::kWide;
   if (!t.static_wide) {
     SteerContext ctx;
     ctx.uop = t.uop;
     ctx.helper_capable = t.helper_capable;
     ctx.frontend_resolvable = t.is_branch_cond;
-
-    bool all_srcs_narrow = true;
-    unsigned wide_srcs = 0;
-    bool have_narrow_src = false;
-    for (u8 j = 0; j < t.n_width_srcs; ++j) {
-      const RegState& st = (*regs_)[t.width_srcs[j]];
-      // Paper Section 3.2: the actual width is used if the producer already
-      // wrote back; otherwise the rename-table width bit (prediction).
-      const bool narrow = st.known_at <= disp ? st.value_narrow : st.pred_narrow;
-      if (!narrow) {
-        ++wide_srcs;
-        wide_src_val = rec.src_vals[t.width_lane[j]];
-      } else {
-        have_narrow_src = true;
-      }
-      all_srcs_narrow = all_srcs_narrow && narrow;
-    }
-    if (t.has_imm) {
-      all_srcs_narrow = all_srcs_narrow && t.imm_narrow;
-      if (t.imm_narrow) {
-        have_narrow_src = true;
-      } else {
-        ++wide_srcs;
-        wide_src_val = t.imm;
-      }
-    }
-    ctx.all_srcs_narrow = all_srcs_narrow;
+    ctx.all_srcs_narrow = srcs.all_narrow;
     ctx.result_pred_narrow = rp.narrow;
     ctx.result_confident = rp.confident;
-
-    // CR shape: exactly one wide source, at least one narrow, additive op,
-    // result expected wide (Section 3.5's 8-32-32 pattern). Only consulted
-    // (and only trained) when the CR scheme is configured.
-    if (t.wants_cr) {
-      ctx.cr_shape = wide_srcs == 1 && have_narrow_src && (!tracked || !rp.narrow);
-      if (ctx.cr_shape) {
-        const WidthPredictor::Prediction cp = wpred_.predict_carry(rec.pc);
-        ctx.carry_pred_confined = cp.narrow;
-        ctx.carry_confident = cp.confident;
-      }
-      cr_shape = ctx.cr_shape;
+    ctx.cr_shape = cr_shape;
+    if (cr_shape) {
+      const WidthPredictor::Prediction cp = wpred_.predict_carry(rec.pc);
+      ctx.carry_pred_confined = cp.narrow;
+      ctx.carry_confident = cp.confident;
     }
-
     if (t.reads_flags) {
       ctx.flags_producer_in_helper =
           (*regs_)[kRegFlags].producer_cluster == kHelperIdx;
     }
     if (needs_occ_) {
-      if (epoch_on_) {
-        ctx.iq_occ_wide = epochs_[kWideIdx].occupancy(disp);
-        ctx.iq_occ_helper = epochs_[kHelperIdx].occupancy(disp);
-      } else {
-        ctx.iq_occ_wide = queues_[kWideIdx]->occupancy(disp);
-        ctx.iq_occ_helper = queues_[kHelperIdx]->occupancy(disp);
-      }
+      ctx.iq_occ_wide = epochs_[kWideIdx].occupancy(disp);
+      ctx.iq_occ_helper = epochs_[kHelperIdx].occupancy(disp);
       ctx.iq_size_wide = cfg_.iq_wide;
       ctx.iq_size_helper = cfg_.iq_helper;
     }
 
     decision = policy_.decide(ctx);
-  } else if (t.wants_cr) {
-    // Memoized kWide verdict, but a CR-eligible opcode under a CR config
-    // still trains the carry predictor (its table entries alias by PC, so
-    // skipping the training would perturb other µops' carry predictions).
-    unsigned wide_srcs = 0;
-    bool have_narrow_src = false;
-    for (u8 j = 0; j < t.n_width_srcs; ++j) {
-      const RegState& st = (*regs_)[t.width_srcs[j]];
-      const bool narrow = st.known_at <= disp ? st.value_narrow : st.pred_narrow;
-      if (!narrow) {
-        ++wide_srcs;
-        wide_src_val = rec.src_vals[t.width_lane[j]];
-      } else {
-        have_narrow_src = true;
-      }
-    }
-    if (t.has_imm) {
-      if (t.imm_narrow) {
-        have_narrow_src = true;
-      } else {
-        ++wide_srcs;
-        wide_src_val = t.imm;
-      }
-    }
-    cr_shape = wide_srcs == 1 && have_narrow_src && (!tracked || !rp.narrow);
   }
 
   // Block-granularity splitting (Section 3.7's proposed extension): a
@@ -414,18 +367,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
     Tick src_ready = from_tick;
     for (u8 j = 0; j < t.n_srcs; ++j)
       src_ready = std::max(src_ready, acquire_value(t.srcs[j], cluster, from_tick));
-    Tick qdisp, ready, issue;
-    if (epoch_on_) [[likely]] {
-      const ClusterEpoch::Dispatched d = epochs_[cluster].dispatch(from_tick, src_ready);
-      qdisp = d.qdisp;
-      ready = d.ready;
-      issue = d.issue;
-    } else {
-      qdisp = queues_[cluster]->earliest_dispatch(from_tick);
-      ready = std::max(src_ready, qdisp);
-      issue = issue_slots_[cluster]->reserve(ready);
-      queues_[cluster]->add(issue);
-    }
+    const auto [qdisp, ready, issue] = epochs_[cluster].dispatch(from_tick, src_ready);
     // Dispatch is in order: a full issue queue backpressures the frontend
     // for younger µops as well.
     dispatch_backpressure_ = std::max(dispatch_backpressure_, qdisp);
@@ -437,8 +379,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
     Tick complete;
     if (t.is_mem) {
       const Tick agu_done = issue + cycle_ticks(cluster);
-      complete = memory_access(seq, rec.mem_addr, t.is_store_op, t.is_load_byte,
-                               agu_done);
+      complete = memory_access(seq, rec.mem_addr, t.is_store_op, agu_done);
     } else {
       complete = issue + t.latency_wide * cycle_ticks(cluster);
     }
@@ -451,7 +392,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
   bool cr_confined_actual = false;
   if (cr_shape) {
     const u32 cr_output = t.is_mem ? rec.mem_addr : rec.result;
-    cr_confined_actual = upper_bits_match(wide_src_val, cr_output, width_bits_);
+    cr_confined_actual = upper_bits_match(srcs.wide_val, cr_output, width_bits_);
   }
 
   unsigned cluster;
@@ -464,11 +405,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
     ++res_.split_uops;
     res_.chunk_uops += 4;
     res_.counters[Counter::kChunkRenameSlots] += 3;
-    if (rename_mono_) {
-      for (unsigned k = 0; k < 3; ++k) (void)rename_mono_slots_.reserve(disp);
-    } else {
-      for (unsigned k = 0; k < 3; ++k) (void)rename_slots_.reserve(disp);
-    }
+    for (unsigned k = 0; k < 3; ++k) (void)rename_slots_.reserve(disp);
 
     Tick src_ready = disp;
     for (u8 j = 0; j < t.n_srcs; ++j)
@@ -476,20 +413,11 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
     // Four chained 8-bit chunks, LSB to MSB, back to back in the helper.
     Tick prev = src_ready;
     for (unsigned k = 0; k < 4; ++k) {
-      Tick qd, iss;
-      if (epoch_on_) [[likely]] {
-        const ClusterEpoch::Dispatched d = epochs_[kHelperIdx].dispatch(disp, prev);
-        qd = d.qdisp;
-        iss = d.issue;
-      } else {
-        qd = queues_[kHelperIdx]->earliest_dispatch(disp);
-        iss = issue_slots_[kHelperIdx]->reserve(std::max(qd, prev));
-        queues_[kHelperIdx]->add(iss);
-      }
-      dispatch_backpressure_ = std::max(dispatch_backpressure_, qd);
+      const ClusterEpoch::Dispatched d = epochs_[kHelperIdx].dispatch(disp, prev);
+      dispatch_backpressure_ = std::max(dispatch_backpressure_, d.qdisp);
       res_.counters[Counter::kIssueHelper]++;
-      if (k == 0) issue = iss;
-      prev = iss + cycle_ticks(kHelperIdx);
+      if (k == 0) issue = d.issue;
+      prev = d.issue + cycle_ticks(kHelperIdx);
     }
     complete = prev;
     cluster = kHelperIdx;
@@ -518,10 +446,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
                                 : t2.complete;
         fetch_barrier_ = std::max(fetch_barrier_, detect);
         const Tick redisp = detect + frontend_ticks_;
-        if (rename_mono_)
-          (void)rename_mono_slots_.reserve(redisp);
-        else
-          (void)rename_slots_.reserve(redisp);
+        (void)rename_slots_.reserve(redisp);
         t2 = exec_in(kWideIdx, redisp);
         cluster = kWideIdx;
         res_.counters[Counter::kFlushRefills]++;
@@ -678,15 +603,6 @@ void Pipeline::bump_per_uop_counters(u64 n) {
   res_.counters[Counter::kWpredLookups] += n;
   res_.counters[Counter::kCommitted] += n;
   res_.uops += n;
-}
-
-void Pipeline::feed(const TraceRecord& rec) {
-  const UopTemplate& t = lookup_template(rec.pc);
-  u8 lanes = 0;
-  for (unsigned k = 0; k < kMaxSrcs; ++k)
-    lanes |= static_cast<u8>(is_narrow(rec.src_vals[k], width_bits_)) << k;
-  feed_record(rec, t, is_narrow(rec.result, width_bits_), lanes);
-  bump_per_uop_counters(1);
 }
 
 void Pipeline::feed(std::span<const TraceRecord> recs) {

@@ -15,11 +15,10 @@
 //
 // Hot-path architecture (see src/bbcache): everything derivable from the
 // static µop alone is cracked once per PC into a UopTemplate and replayed
-// for every dynamic instance; the batched feed() overload additionally runs
+// for every dynamic instance; the batched feed() additionally runs
 // the value-width classification as a branchless SoA prepass over
-// WidthLaneBlock sub-batches. Scalar feed(), batched feed(), cache-on and
-// cache-off all funnel into the same feed_record() core, so every variant
-// is bit-identical by construction.
+// WidthLaneBlock sub-batches. Cache-on and cache-off feeds funnel into the
+// same feed_record() core, so both are bit-identical by construction.
 #pragma once
 
 #include <array>
@@ -45,6 +44,7 @@ class Pipeline {
   /// The pipeline binds to a static program; dynamic records are fed in
   /// program order — all at once (run) or incrementally (feed/finish), which
   /// is what lets long traces stream through without being materialized.
+  /// Aborts if `cfg` breaks a rule machine_config_error names.
   ///
   /// `shared_cache` optionally substitutes an external decode cache for the
   /// pipeline's private one — sweep drivers reuse cracked templates across
@@ -54,12 +54,9 @@ class Pipeline {
            DecodeCache* shared_cache = nullptr);
   ~Pipeline();
 
-  /// Process one dynamic µop.
-  void feed(const TraceRecord& rec);
-
-  /// Process a batch of dynamic µops in program order. Bit-identical to
-  /// feeding each record individually; the batch form amortizes the width
-  /// classification into an SoA prepass per WidthLaneBlock.
+  /// Process a batch of dynamic µops in program order. Splitting a stream
+  /// into batches differently gives bit-identical results; each batch runs
+  /// the width classification as an SoA prepass per WidthLaneBlock.
   void feed(std::span<const TraceRecord> recs);
 
   /// Flush training windows, derive the summary statistics and return the
@@ -170,9 +167,19 @@ class Pipeline {
   /// CP: producer-side copy prefetch at writeback (Section 3.6).
   void maybe_copy_prefetch(RegId dst, u32 pc, unsigned cluster, Tick complete);
 
+  /// Rename-time source widths (Section 3.2): a register's actual width if
+  /// its producer wrote back by `disp`, else its predicted width bit.
+  struct SrcWidths {
+    bool all_narrow = true;
+    bool have_narrow = false;
+    unsigned wide = 0;  // number of wide sources
+    u32 wide_val = 0;   // value of the last wide source
+  };
+  SrcWidths scan_src_widths(const TraceRecord& rec, const UopTemplate& t,
+                            Tick disp) const;
+
   /// Memory access path shared by loads and stores.
-  Tick memory_access(SeqNum seq, u32 addr, bool is_store, bool is_load_byte,
-                     Tick agu_done);
+  Tick memory_access(SeqNum seq, u32 addr, bool is_store, Tick agu_done);
 
   /// NREADY imbalance accounting for a µop that waited to issue.
   void account_nready(unsigned cluster, bool eligible_other, Tick ready, Tick issue);
@@ -210,37 +217,21 @@ class Pipeline {
   bool cp_on_ = false;
   bool ir_block_on_ = false;
 
-  // Frontend / commit schedules (wide clock domain). Fetch and commit are
-  // strictly in order — every reserve is clamped to the previous result —
-  // so they use the two-word MonotonicSlots. Rename's request sequence is
-  // non-decreasing too, but the proof for helper configs leans on the
-  // dispatch-backpressure invariant (the split path reserves again at disp;
-  // the flush path reserves at redisp, and exec_in has already raised
-  // dispatch_backpressure_ to at least that tick, so the next µop cannot
-  // request earlier). The epoch engine relies on that proof and always uses
-  // MonotonicSlots; the legacy path keeps the conservative ring ledger for
-  // helper configs, which doubles as the cross-check — epoch-on and
-  // epoch-off sweeps must be byte-identical.
+  // Frontend / commit schedules (wide clock domain). MonotonicSlots checks
+  // that no request falls in an earlier cycle than the one before. Fetch
+  // requests fetch_barrier_, which only grows; commit clamps each request to
+  // the previous commit; rename requests are at least last_dispatch_ and
+  // dispatch_backpressure_. The split path reserves again at disp; the flush
+  // path at redisp, and its exec_in raises dispatch_backpressure_ to at
+  // least redisp for the next µop.
   MonotonicSlots fetch_slots_;
-  SlotSchedule rename_slots_;
-  MonotonicSlots rename_mono_slots_;
-  bool rename_mono_ = false;
+  MonotonicSlots rename_slots_;
   MonotonicSlots commit_slots_;
 
-  // Per-cluster resources. When the epoch engine is on (HCSIM_EPOCH, the
-  // default) each backend's issue slots + queue ledger + copy ports live in
-  // one by-value ClusterEpoch and the legacy structures below stay
-  // unallocated; HCSIM_EPOCH=0 flips to the per-µop SlotSchedule +
-  // QueueTracker pair, which is the reference model for the differential
-  // fuzz test and the epoch-off golden sweeps.
-  bool epoch_on_ = true;
+  // Per-cluster resources: each backend's issue slots, issue queue and copy
+  // ports (Section 4: the copy scheme "requires its own scheduling
+  // resources"; the FP cluster has none) in one by-value ClusterEpoch.
   std::array<ClusterEpoch, kNumBackends> epochs_;
-  // Legacy backend issue slots and queue occupancy (epoch off only).
-  std::array<std::unique_ptr<SlotSchedule>, kNumBackends> issue_slots_;
-  std::array<std::unique_ptr<QueueTracker>, kNumBackends> queues_;
-  // Dedicated copy-µop scheduling resources per integer cluster (Section 4:
-  // the copy scheme "requires its own scheduling resources").
-  std::array<std::unique_ptr<SlotSchedule>, kNumIntClusters> copy_slots_;
 
   // Architectural register location/width state (program-order view).
   std::unique_ptr<std::array<RegState, kNumRegs>> regs_;
@@ -262,7 +253,6 @@ class Pipeline {
   unsigned block_split_remaining_ = 0;
 
   Tick fetch_barrier_ = 0;     // redirect/flush refill point
-  Tick last_fetch_ = 0;
   Tick last_dispatch_ = 0;
   Tick last_commit_ = 0;
   /// In-order dispatch backpressure: when a µop (or one of its copies)

@@ -7,18 +7,26 @@
 
 namespace hcsim {
 
+std::string cache_config_error(const CacheConfig& cfg) {
+  if (!std::has_single_bit(cfg.line_bytes)) return "line_bytes must be a power of two";
+  if (cfg.ways == 0) return "ways must be positive";
+  const u32 lines_total = cfg.size_bytes / cfg.line_bytes;
+  if (lines_total < cfg.ways) return "size_bytes is smaller than one set";
+  const u32 sets = lines_total / cfg.ways;
+  if (!std::has_single_bit(sets))
+    return "size_bytes / (line_bytes * ways) sets must be a power of two";
+  if (std::countr_zero(cfg.line_bytes) + std::countr_zero(sets) >= 32)
+    return "size_bytes covers the whole 32-bit address space";
+  return "";
+}
+
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
-  HCSIM_CHECK(cfg_.line_bytes > 0 && std::has_single_bit(cfg_.line_bytes),
-              "cache line size must be a power of two");
-  HCSIM_CHECK(cfg_.ways > 0, "cache must have at least one way");
-  const u32 lines_total = cfg_.size_bytes / cfg_.line_bytes;
-  HCSIM_CHECK(lines_total >= cfg_.ways, "cache smaller than one set");
-  num_sets_ = lines_total / cfg_.ways;
-  HCSIM_CHECK(std::has_single_bit(num_sets_), "number of sets must be a power of two");
+  const std::string error = cache_config_error(cfg_);
+  HCSIM_CHECK(error.empty(), cfg_.name + ": " + error);
+  num_sets_ = cfg_.size_bytes / cfg_.line_bytes / cfg_.ways;
   ways_ = cfg_.ways;
   line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.line_bytes));
   tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(num_sets_));
-  HCSIM_CHECK(tag_shift_ < 32, "cache covers the whole 32-bit address space");
   stamp_bits_ = 64 - (32 - tag_shift_);
   stamp_mask_ = (u64{1} << stamp_bits_) - 1;
   ways_data_.assign(static_cast<std::size_t>(num_sets_) * ways_, 0);

@@ -35,6 +35,10 @@ struct CacheConfig {
   u32 ports = 2;           // accesses per wide cycle
 };
 
+/// The first geometry rule `cfg` breaks, naming the field, or "" if none.
+/// Cache's constructor aborts on it; machine_config_error reports it.
+std::string cache_config_error(const CacheConfig& cfg);
+
 class Cache {
  public:
   explicit Cache(const CacheConfig& cfg);

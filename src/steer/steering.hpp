@@ -19,7 +19,6 @@ namespace hcsim {
 /// Backend identifiers. The wide cluster owns the FP scheduler; the helper
 /// cluster is integer-only (Section 2.1).
 enum class Cluster : u8 { kWide = 0, kHelper = 1, kWideFp = 2 };
-inline constexpr unsigned kNumIntClusters = 2;  // copy traffic is wide<->helper
 
 /// Feature flags mirroring the paper's schemes.
 struct SteeringConfig {

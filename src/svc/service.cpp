@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "core/machine_config.hpp"
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
 #include "rv/kernels.hpp"
@@ -105,6 +106,10 @@ bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
     }
     if (req.n_records == 0) {
       error = "job with n_records 0";
+      return false;
+    }
+    if (const std::string bad = machine_config_error(req.config); !bad.empty()) {
+      error = "job with an unrunnable machine config: " + bad;
       return false;
     }
     // The active sample spec is process-global, so one batch = one spec.

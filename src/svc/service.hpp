@@ -52,10 +52,11 @@ class SweepService {
   /// pool workers but serialized (never concurrently); returning false
   /// (client gone) stops the stream — remaining jobs still simulate and
   /// journal, so the work survives for the re-submission. Returns false
-  /// with a diagnostic on bad versions, mixed sample specs, cancellation,
-  /// or a dead result stream. Fault point: "job.abort" fires before each
-  /// fresh simulation and abort()s the process — the crash the journal
-  /// exists to survive.
+  /// with a diagnostic on bad versions, mixed sample specs, a machine config
+  /// the model cannot run (machine_config_error; checked for every job
+  /// before any simulates), cancellation, or a dead result stream. Fault
+  /// point: "job.abort" fires before each fresh simulation and abort()s the
+  /// process — the crash the journal exists to survive.
   bool run_jobs(const std::vector<JobRequest>& reqs,
                 const std::function<bool()>& cancelled,
                 const std::function<bool(const JobResponse&)>& on_result,

@@ -62,15 +62,8 @@ u64 SlotSchedule::first_nonfull(u64 cycle) const {
   return end;
 }
 
-bool SlotSchedule::has_free_slot(Tick tick) const {
-  const u64 cycle = to_cycle(tick);
-  if (cycle < base_) return false;
-  if (cycle > frontier_) return true;
-  return slot(cycle) < width_;
-}
-
-SlotSchedule::RangeProbe SlotSchedule::free_slot_in(Tick from, Tick until) const {
-  RangeProbe p;
+SlotRangeProbe SlotSchedule::free_slot_in(Tick from, Tick until) const {
+  SlotRangeProbe p;
   if (until <= from) return p;
   u64 c0 = to_cycle(from);
   const u64 c1 = to_cycle(until - 1);  // last cycle overlapping the range
@@ -85,93 +78,6 @@ SlotSchedule::RangeProbe SlotSchedule::free_slot_in(Tick from, Tick until) const
   }
   p.free = first_nonfull(c0) <= c1;
   return p;
-}
-
-// --- QueueTracker -----------------------------------------------------------
-
-Tick QueueTracker::next_occupied(Tick from) const {
-  // The window is a multiple of 64 ticks, so positions within one bitmap
-  // word are consecutive ticks: skip empty regions a word at a time.
-  u64 c = from;
-  while (c < tail_) {
-    const u64 pos = c & mask_;
-    const u64 bits = occ_[pos >> 6] >> (pos & 63);
-    if (bits != 0) {
-      const u64 cand = c + static_cast<u64>(std::countr_zero(bits));
-      return cand < tail_ ? cand : tail_;
-    }
-    c += 64 - (pos & 63);
-  }
-  return tail_;
-}
-
-void QueueTracker::drain_slow(Tick target) {
-  Tick c = head_;
-  while (live_ > 0) {
-    c = next_occupied(c);
-    if (c >= target) break;
-    const u64 pos = c & mask_;
-    live_ -= ring_[pos];
-    ring_[pos] = 0;
-    occ_[pos >> 6] &= ~(u64{1} << (pos & 63));
-    ++c;
-  }
-  head_ = target;
-}
-
-void QueueTracker::grow(Tick issue) {
-  u64 cap = mask_ + 1;
-  while (issue - head_ >= cap) cap *= 2;
-  std::vector<u32> bigger(cap, 0);
-  std::vector<u64> bits(cap / 64, 0);
-  const u64 new_mask = cap - 1;
-  for (Tick t = head_; t < tail_; ++t) {
-    const u32 n = ring_[t & mask_];
-    if (n) {
-      bigger[t & new_mask] = n;
-      bits[(t & new_mask) >> 6] |= u64{1} << (t & 63);
-    }
-  }
-  ring_ = std::move(bigger);
-  occ_ = std::move(bits);
-  mask_ = new_mask;
-}
-
-Tick QueueTracker::earliest_dispatch_full() const {
-  // Full: the dispatch must wait until enough occupants have issued that an
-  // entry frees up. A pure query (live_ >= size_ >= 1 guarantees the walks
-  // terminate), but amortized O(1) via the (full_at_, full_slack_) cache:
-  //   - add(j <= full_at_) raises required and available departures equally;
-  //   - add(j > full_at_) decrements the slack (see add());
-  //   - a drain with head_ <= full_at_ removes k entries from both sides of
-  //     the slack (all removed entries issue before head_), leaving it and
-  //     the answer's minimality intact;
-  //   - a drain past full_at_ invalidates the cache (head_ > full_at_).
-  // The answer never moves backward under adds, so the slack repair resumes
-  // the departure walk from the cache instead of restarting at head_.
-  if (head_ > full_at_) {
-    u64 need = live_ - size_ + 1;
-    Tick c = head_;
-    for (;;) {
-      c = next_occupied(c);
-      HCSIM_CHECK(c < tail_, "QueueTracker: live entries unaccounted for");
-      const u64 n = ring_[c & mask_];
-      if (n >= need) {
-        full_at_ = c;
-        full_slack_ = static_cast<i64>(n - need);
-        return c;
-      }
-      need -= n;
-      ++c;
-    }
-  }
-  while (full_slack_ < 0) {
-    const Tick c = next_occupied(full_at_ + 1);
-    HCSIM_CHECK(c < tail_, "QueueTracker: live entries unaccounted for");
-    full_slack_ += static_cast<i64>(ring_[c & mask_]);
-    full_at_ = c;
-  }
-  return full_at_;
 }
 
 }  // namespace hcsim

@@ -3,7 +3,7 @@
 //   - rebinding a shared cache under a new key invalidates (and counts it)
 //   - a cache shared across programs/configs is output-identical to private
 //     caches and to no cache at all (aliased PCs must never leak templates)
-//   - the batched SoA feed is bit-identical to the scalar feed
+//   - batch boundaries are invisible: one-record batches match one batch
 //   - WidthLaneBlock classification matches per-value is_narrow
 // The suite runs under the ASan/UBSan CI job, which is what backs the
 // bounds-comment on WidthLaneBlock's unchecked accessors.
@@ -147,9 +147,10 @@ TEST(BbCache, BatchedScalarAndUncachedFeedsAgree) {
   DecodeCache c1(/*enabled=*/true);
   const SimResult batched = run_batched(cfg, t, &c1);
 
-  Pipeline scalar(cfg, t.program);
-  for (const TraceRecord& rec : t.records) scalar.feed(rec);
-  expect_same_output(batched, scalar.finish());
+  Pipeline single(cfg, t.program);
+  for (const TraceRecord& rec : t.records)
+    single.feed(std::span<const TraceRecord>(&rec, 1));
+  expect_same_output(batched, single.finish());
 
   DecodeCache off(/*enabled=*/false);
   const SimResult uncached = run_batched(cfg, t, &off);

@@ -1,27 +1,32 @@
 // Differential tests for the fused per-cluster epoch engine.
 //
-// ClusterEpoch replaces the SlotSchedule + QueueTracker + SlotSchedule
-// triple on the pipeline hot path; the legacy structures stay behind the
-// HCSIM_EPOCH=0 kill switch and double here as the reference model. The
-// fuzz drives both through long randomized sequences shaped like the
-// pipeline's actual usage — mostly-forward dispatch ticks with occasional
-// far jumps, source-ready ticks that sometimes land far in the future,
-// interleaved occupancy probes, copy-port reservations and NREADY range
-// probes — and demands tick-exact agreement on every reply. The suite runs
-// under the sanitizer CI job, so the fuzz also shakes out any OOB in the
-// engine's ring/bitmap arithmetic.
+// ClusterEpoch fuses a cluster's issue slots, issue queue and copy ports.
+// Its queue ledger is cycle-bucketed with a deferred drain; the reference
+// here is QueueTracker (queue_tracker.hpp), a per-tick ledger that drains on
+// every query. The engine's issue and copy slots are SlotSchedules, so the
+// reference holds SlotSchedules too: that half of the comparison checks the
+// engine's wiring (which ledger each call reaches, and the call order), not
+// a second ledger implementation. The fuzz drives both through long
+// randomized sequences shaped like the pipeline's actual usage —
+// mostly-forward dispatch ticks with occasional far jumps, source-ready
+// ticks that sometimes land far in the future, interleaved occupancy
+// probes, copy-port reservations and NREADY range probes — and demands
+// tick-exact agreement on every reply. The suite runs under the sanitizer
+// CI job, so the fuzz also shakes out any OOB in the engine's ring/bitmap
+// arithmetic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/cluster_epoch.hpp"
+#include "queue_tracker.hpp"
 #include "util/rng.hpp"
 #include "util/slot_schedule.hpp"
 
 namespace hcsim {
 namespace {
 
-/// The legacy triple with the exact call sequence pipeline.cpp used.
+/// The reference triple, called in the sequence dispatch() fuses.
 struct ReferenceCluster {
   SlotSchedule slots;
   QueueTracker queue;
@@ -93,6 +98,96 @@ void run_fuzz(const FuzzConfig& cfg, u64 seed, int ops) {
   }
   ASSERT_EQ(engine.issue_reservations(), ref.slots.reservations());
 }
+
+// --- the reference queue tracker on its own --------------------------------
+
+TEST(QueueTracker, OccupancyTracksIssueTimes) {
+  QueueTracker q(4);
+  q.add(/*issue=*/10);
+  q.add(12);
+  EXPECT_EQ(q.occupancy(5), 2u);
+  EXPECT_EQ(q.occupancy(10), 1u);  // first entry left at tick 10
+  EXPECT_EQ(q.occupancy(12), 0u);
+}
+
+TEST(QueueTracker, DispatchWaitsWhenFull) {
+  QueueTracker q(2);
+  q.add(100);
+  q.add(200);
+  // Queue full until tick 100; a dispatch at tick 5 must wait.
+  EXPECT_EQ(q.earliest_dispatch(5), 100u);
+}
+
+TEST(QueueTracker, DispatchImmediateWhenSpace) {
+  QueueTracker q(2);
+  q.add(100);
+  EXPECT_EQ(q.earliest_dispatch(5), 5u);
+}
+
+TEST(QueueTracker, GarbageCollection) {
+  QueueTracker q(2);
+  q.add(1);
+  q.add(2);
+  // By tick 3 both entries have issued; occupancy is zero and dispatch free.
+  EXPECT_EQ(q.occupancy(3), 0u);
+  EXPECT_EQ(q.earliest_dispatch(3), 3u);
+}
+
+TEST(QueueTracker, SizeAccessor) {
+  QueueTracker q(32);
+  EXPECT_EQ(q.size(), 32u);
+}
+
+TEST(QueueTracker, EarliestDispatchIsAPureQuery) {
+  // Regression: the old multiset tracker erased the earliest occupant
+  // inside earliest_dispatch, so a caller that probed without dispatching
+  // (the flush/re-steer path runs exec_in twice) silently freed a slot.
+  QueueTracker q(2);
+  q.add(100);
+  q.add(200);
+  EXPECT_EQ(q.earliest_dispatch(5), 100u);
+  EXPECT_EQ(q.earliest_dispatch(5), 100u);  // unchanged: no occupant was evicted
+  EXPECT_EQ(q.occupancy(5), 2u);            // both entries still live
+}
+
+TEST(QueueTracker, FullQueueWaitsForEnoughDepartures) {
+  // With the queue over-subscribed (probe + add pattern of the IR split
+  // loop), a dispatch must wait until occupancy actually drops below the
+  // queue size, i.e. for the n-th departure, not just the first.
+  QueueTracker q(1);
+  q.add(100);
+  EXPECT_EQ(q.earliest_dispatch(0), 100u);
+  q.add(150);  // the µop that dispatches at 100
+  EXPECT_EQ(q.earliest_dispatch(0), 150u);  // 2 live, size 1: needs 2 departures
+  EXPECT_EQ(q.earliest_dispatch(120), 150u);  // entry at 100 drained; 1 live, full
+  EXPECT_EQ(q.earliest_dispatch(150), 150u);  // all drained: dispatch immediately
+}
+
+TEST(QueueTracker, RepeatedOverfullProbesAreStable) {
+  // Over-subscribed queue (probe + add pattern): the multi-departure walk
+  // must not remember progress across calls — a pure query returns the
+  // same answer every time, and no live entry is skipped.
+  QueueTracker q(2);
+  q.add(100);
+  q.add(200);
+  q.add(300);
+  EXPECT_EQ(q.earliest_dispatch(0), 200u);  // 3 live, size 2: 2 departures
+  EXPECT_EQ(q.earliest_dispatch(0), 200u);  // identical on repeat
+  EXPECT_EQ(q.occupancy(0), 3u);
+  EXPECT_EQ(q.earliest_dispatch(100), 200u);  // entry at 100 drained: 2 live, full
+  EXPECT_EQ(q.earliest_dispatch(100), 200u);
+}
+
+TEST(QueueTracker, RingGrowsForFarFutureIssueTicks) {
+  QueueTracker q(4);
+  q.add(10);
+  q.add(u64{1} << 20);  // far beyond the initial ring capacity
+  EXPECT_EQ(q.occupancy(0), 2u);
+  EXPECT_EQ(q.occupancy(10), 1u);
+  EXPECT_EQ(q.occupancy(u64{1} << 20), 0u);
+}
+
+// --- ClusterEpoch against the reference ------------------------------------
 
 TEST(ClusterEpochFuzz, MatchesLegacyTripleAcrossGeometries) {
   // Widths, queue sizes and clock ratios cover the stock configurations

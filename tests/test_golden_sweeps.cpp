@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "bbcache/bb_cache.hpp"
-#include "core/cluster_epoch.hpp"
 #include "core/pipeline.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
@@ -89,50 +88,13 @@ TEST(GoldenSweeps, CumulativeCacheOnOffIdentical) {
   EXPECT_EQ(sweep_csv("cumulative", 1), with_cache);
 }
 
-/// RAII epoch-engine disable: routes every resource probe through the
-/// legacy SlotSchedule/QueueTracker structures (the HCSIM_EPOCH=0 path).
-struct EpochOff {
-  EpochOff() { epoch_set_enabled(false); }
-  ~EpochOff() { epoch_reset_enabled(); }
-};
-
-// The fused per-cluster epoch engine must be output-invisible: with it
-// disabled the goldens still reproduce byte-for-byte, so any divergence
-// between the engine and the legacy triple is a modeling bug, not a
-// "new baseline".
-TEST(GoldenSweeps, Fig06MatchesSeedEpochDisabled) {
-  EpochOff off;
-  EXPECT_EQ(sweep_csv("fig06", 1), kGolden_fig06);
-}
-
-TEST(GoldenSweeps, Fig12MatchesSeedEpochDisabled) {
-  EpochOff off;
-  EXPECT_EQ(sweep_csv("fig12", 1), kGolden_fig12);
-}
-
-TEST(GoldenSweeps, RvMatchesSeedEpochDisabledThreaded) {
-  EpochOff off;
-  EXPECT_EQ(sweep_csv("rv", 4), kGolden_rv);
-}
-
-TEST(GoldenSweeps, CumulativeEpochOnOffIdentical) {
-  const std::string with_engine = sweep_csv("cumulative", 1);
-  EpochOff off;
-  EXPECT_EQ(sweep_csv("cumulative", 1), with_engine);
-}
-
 // The NREADY range probes behind the goldens must classify every gap
 // exactly: a nonzero truncation count means the GC horizon clipped a probe
-// and the imbalance statistics silently degraded to a lower bound. Both
-// engines share the window constant, so both must report zero.
+// and the imbalance statistics silently degraded to a lower bound.
 TEST(GoldenSweeps, HelperSweepHasNoNreadyTruncation) {
   const Trace t = generate_trace(spec_profile("gcc"), 30000);
-  const SimResult with_engine = simulate(helper_machine(steering_888()), t);
-  EXPECT_EQ(with_engine.counters.get("nready_truncations"), 0u);
-  EpochOff off;
-  const SimResult legacy = simulate(helper_machine(steering_888()), t);
-  EXPECT_EQ(legacy.counters.get("nready_truncations"), 0u);
-  EXPECT_EQ(legacy.final_tick, with_engine.final_tick);
+  const SimResult r = simulate(helper_machine(steering_888()), t);
+  EXPECT_EQ(r.counters.get("nready_truncations"), 0u);
 }
 
 }  // namespace

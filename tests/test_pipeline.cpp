@@ -2,6 +2,8 @@
 // traces with known dataflow, plus invariants on generated workloads.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/pipeline.hpp"
 #include "util/narrow.hpp"
 #include "wload/executor.hpp"
@@ -400,6 +402,107 @@ TEST(Pipeline, EmptyTraceIsHarmless) {
   const SimResult r = simulate(baseline(), t);
   EXPECT_EQ(r.uops, 0u);
   EXPECT_EQ(r.final_tick, 0u);
+}
+
+// --- machine_config_error ---------------------------------------------------
+
+/// One MachineConfig field, by name, and a way to zero it.
+struct ConfigField {
+  const char* name;
+  void (*zero)(MachineConfig&);
+};
+
+// Every field a zero breaks: machine_config_error must name it.
+const ConfigField kZeroIsUnrunnable[] = {
+    {"fetch_width", [](MachineConfig& c) { c.fetch_width = 0; }},
+    {"rename_width", [](MachineConfig& c) { c.rename_width = 0; }},
+    {"commit_width", [](MachineConfig& c) { c.commit_width = 0; }},
+    {"rob_entries", [](MachineConfig& c) { c.rob_entries = 0; }},
+    {"issue_wide", [](MachineConfig& c) { c.issue_wide = 0; }},
+    {"issue_helper", [](MachineConfig& c) { c.issue_helper = 0; }},
+    {"issue_fp", [](MachineConfig& c) { c.issue_fp = 0; }},
+    {"iq_wide", [](MachineConfig& c) { c.iq_wide = 0; }},
+    {"iq_helper", [](MachineConfig& c) { c.iq_helper = 0; }},
+    {"iq_fp", [](MachineConfig& c) { c.iq_fp = 0; }},
+    {"ticks_per_wide_cycle", [](MachineConfig& c) { c.ticks_per_wide_cycle = 0; }},
+    {"copy_ports", [](MachineConfig& c) { c.copy_ports = 0; }},
+    {"wpred.entries", [](MachineConfig& c) { c.wpred.entries = 0; }},
+    {"bpred.entries", [](MachineConfig& c) { c.bpred.entries = 0; }},
+    {"mem.dl0.line_bytes", [](MachineConfig& c) { c.mem.dl0.line_bytes = 0; }},
+    {"mem.dl0.ways", [](MachineConfig& c) { c.mem.dl0.ways = 0; }},
+    {"mem.dl0.size_bytes", [](MachineConfig& c) { c.mem.dl0.size_bytes = 0; }},
+    {"mem.dl0.ports", [](MachineConfig& c) { c.mem.dl0.ports = 0; }},
+    {"mem.ul1.line_bytes", [](MachineConfig& c) { c.mem.ul1.line_bytes = 0; }},
+    {"mem.ul1.ways", [](MachineConfig& c) { c.mem.ul1.ways = 0; }},
+    {"mem.ul1.size_bytes", [](MachineConfig& c) { c.mem.ul1.size_bytes = 0; }},
+    {"mem.ul1.ports", [](MachineConfig& c) { c.mem.ul1.ports = 0; }},
+};
+
+// Every other numeric field: zero is a legal (if odd) machine.
+const ConfigField kZeroIsRunnable[] = {
+    {"frontend_depth", [](MachineConfig& c) { c.frontend_depth = 0; }},
+    {"helper_width_bits", [](MachineConfig& c) { c.helper_width_bits = 0; }},
+    {"copy_transfer_cycles", [](MachineConfig& c) { c.copy_transfer_cycles = 0; }},
+    {"mem.main_memory_cycles", [](MachineConfig& c) { c.mem.main_memory_cycles = 0; }},
+    {"mem.dl0.latency_cycles", [](MachineConfig& c) { c.mem.dl0.latency_cycles = 0; }},
+    {"mem.ul1.latency_cycles", [](MachineConfig& c) { c.mem.ul1.latency_cycles = 0; }},
+    {"wpred.confidence_threshold", [](MachineConfig& c) { c.wpred.confidence_threshold = 0; }},
+    {"bpred.history_bits", [](MachineConfig& c) { c.bpred.history_bits = 0; }},
+    {"steer.ir_block_len", [](MachineConfig& c) { c.steer.ir_block_len = 0; }},
+};
+
+TEST(MachineConfig, StockConfigsAreRunnable) {
+  EXPECT_EQ(machine_config_error(monolithic_baseline()), "");
+  for (const SteeringConfig& steer :
+       {steering_888(), steering_888_br_lr_cr(), steering_cp(), steering_ir(),
+        steering_ir_block()})
+    EXPECT_EQ(machine_config_error(helper_machine(steer)), "") << steer.describe();
+}
+
+TEST(MachineConfig, EachZeroFieldIsNamed) {
+  for (const ConfigField& f : kZeroIsUnrunnable) {
+    MachineConfig cfg = helper_machine(steering_ir());
+    f.zero(cfg);
+    const std::string error = machine_config_error(cfg);
+    EXPECT_EQ(error.rfind(f.name, 0), 0u) << f.name << ": '" << error << "'";
+  }
+}
+
+TEST(MachineConfig, OtherZeroFieldsStillSimulate) {
+  const Trace t = generate_trace(spec_profile("gcc"), 3000);
+  for (const ConfigField& f : kZeroIsRunnable) {
+    MachineConfig cfg = helper_machine(steering_ir_block());
+    f.zero(cfg);
+    ASSERT_EQ(machine_config_error(cfg), "") << f.name;
+    EXPECT_EQ(simulate(cfg, t).uops, 3000u) << f.name;
+  }
+}
+
+TEST(MachineConfig, OutOfRangeValuesAreNamed) {
+  const auto error_for = [](void (*set)(MachineConfig&)) {
+    MachineConfig cfg = helper_machine(steering_ir());
+    set(cfg);
+    return machine_config_error(cfg);
+  };
+  // Slot ledgers count a cycle's reservations in a byte.
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.issue_helper = 256; }),
+            "issue_helper must be in 1..255");
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.copy_ports = 256; }),
+            "copy_ports must be in 1..255");
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.bpred.entries = 3000; }),
+            "bpred.entries must be a power of two");
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.mem.dl0.line_bytes = 48; }),
+            "mem.dl0.line_bytes must be a power of two");
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.mem.ul1.size_bytes = 3 << 20; }),
+            "mem.ul1.size_bytes / (line_bytes * ways) sets must be a power of two");
+}
+
+TEST(MachineConfig, PipelineRefusesAnUnrunnableConfig) {
+  const Trace t = generate_trace(spec_profile("gcc"), 100);
+  MachineConfig cfg = helper_machine(steering_ir());
+  cfg.copy_ports = 0;
+  EXPECT_DEATH({ Pipeline p(cfg, t.program); },
+               "unrunnable machine config: copy_ports must be in 1..255");
 }
 
 }  // namespace

@@ -234,6 +234,57 @@ TEST(SweepService, MatchesInProcessSweepByteForByte) {
   EXPECT_EQ(resp.n_points, local.points.size());
 }
 
+/// A short rv:crc32 job on the sweep baseline machine, with `breakage`
+/// applied to its config.
+JobRequest job_with(void (*breakage)(MachineConfig&)) {
+  JobRequest req;
+  req.config = exp::SweepSpec().baseline;
+  breakage(req.config);
+  std::string error;
+  EXPECT_TRUE(resolve_workload("rv:crc32", req.profile, error)) << error;
+  req.n_records = 1500;
+  return req;
+}
+
+void unchanged(MachineConfig&) {}
+
+/// Configs the model cannot run: a Pipeline built from one would crash or
+/// abort, taking hcsimd with it.
+struct Unrunnable {
+  const char* rule;
+  void (*breakage)(MachineConfig&);
+};
+const Unrunnable kUnrunnable[] = {
+    {"copy_ports", [](MachineConfig& c) { c.copy_ports = 0; }},
+    {"rob_entries", [](MachineConfig& c) { c.rob_entries = 0; }},
+    {"issue_wide", [](MachineConfig& c) { c.issue_wide = 0; }},
+    {"issue_helper", [](MachineConfig& c) { c.issue_helper = 0; }},
+    {"ticks_per_wide_cycle", [](MachineConfig& c) { c.ticks_per_wide_cycle = 0; }},
+};
+
+TEST(SweepService, RunJobsRefusesUnrunnableConfigsBeforeSimulating) {
+  SweepService service(/*threads=*/1);
+  for (const Unrunnable& u : kUnrunnable) {
+    // The bad job comes second: the batch is refused before the good one
+    // simulates or streams anything.
+    const std::vector<JobRequest> reqs = {job_with(unchanged), job_with(u.breakage)};
+    int streamed = 0;
+    SweepService::BatchOutcome outcome;
+    std::string error;
+    EXPECT_FALSE(service.run_jobs(
+        reqs, nullptr,
+        [&](const JobResponse&) {
+          ++streamed;
+          return true;
+        },
+        outcome, error))
+        << u.rule;
+    EXPECT_NE(error.find(u.rule), std::string::npos) << error;
+    EXPECT_EQ(streamed, 0) << u.rule;
+    EXPECT_EQ(outcome.completed, 0u) << u.rule;
+  }
+}
+
 TEST(SweepService, ResolveWorkloadNames) {
   WorkloadProfile profile;
   std::string error;
@@ -338,6 +389,26 @@ TEST(Daemon, SemanticErrorKeepsConnectionFramingErrorDropsIt) {
   Client again = Client::connect(daemon.path());
   ASSERT_TRUE(again.ok()) << again.error();
   EXPECT_TRUE(again.ping(error)) << error;
+}
+
+TEST(SweepService, UnrunnableConfigBatchIsARemoteErrorAndTheDaemonLives) {
+  DaemonFixture daemon("badcfg");
+  Client client = Client::connect(daemon.path());
+  ASSERT_TRUE(client.ok()) << client.error();
+  JobsDone done;
+  std::string error;
+  for (const Unrunnable& u : kUnrunnable) {
+    EXPECT_EQ(client.run_jobs({job_with(u.breakage)}, nullptr, done, error),
+              Client::BatchStatus::kRemoteError)
+        << u.rule;
+    EXPECT_NE(error.find(u.rule), std::string::npos) << error;
+    EXPECT_TRUE(client.ping(error)) << u.rule << ": " << error;
+  }
+  // The same connection still runs a good batch.
+  ASSERT_EQ(client.run_jobs({job_with(unchanged)}, nullptr, done, error),
+            Client::BatchStatus::kDone)
+      << error;
+  EXPECT_EQ(done.completed, 1u);
 }
 
 TEST(Daemon, ClientDisconnectMidJobLeavesDaemonAlive) {

@@ -1,6 +1,8 @@
-// Tests for the issue-slot ledger and issue-queue occupancy tracker.
+// Tests for the slot ledgers: SlotSchedule, its window GC, and the in-order
+// MonotonicSlots counter checked against it.
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
 #include "util/slot_schedule.hpp"
 
 namespace hcsim {
@@ -30,14 +32,6 @@ TEST(SlotSchedule, HolesCanBeFilled) {
   EXPECT_EQ(s.reserve(3), 3u);
 }
 
-TEST(SlotSchedule, HasFreeSlot) {
-  SlotSchedule s(1, 1);
-  EXPECT_TRUE(s.has_free_slot(5));
-  (void)s.reserve(5);
-  EXPECT_FALSE(s.has_free_slot(5));
-  EXPECT_TRUE(s.has_free_slot(6));
-}
-
 TEST(SlotSchedule, ReservationCount) {
   SlotSchedule s(3, 2);
   for (int i = 0; i < 7; ++i) (void)s.reserve(0);
@@ -57,92 +51,6 @@ TEST(SlotSchedule, HelperClockPacksTwicePerWideCycle) {
   EXPECT_EQ(wide_in_4_ticks, 2);
 }
 
-TEST(QueueTracker, OccupancyTracksIssueTimes) {
-  QueueTracker q(4);
-  q.add(/*issue=*/10);
-  q.add(12);
-  EXPECT_EQ(q.occupancy(5), 2u);
-  EXPECT_EQ(q.occupancy(10), 1u);  // first entry left at tick 10
-  EXPECT_EQ(q.occupancy(12), 0u);
-}
-
-TEST(QueueTracker, DispatchWaitsWhenFull) {
-  QueueTracker q(2);
-  q.add(100);
-  q.add(200);
-  // Queue full until tick 100; a dispatch at tick 5 must wait.
-  EXPECT_EQ(q.earliest_dispatch(5), 100u);
-}
-
-TEST(QueueTracker, DispatchImmediateWhenSpace) {
-  QueueTracker q(2);
-  q.add(100);
-  EXPECT_EQ(q.earliest_dispatch(5), 5u);
-}
-
-TEST(QueueTracker, GarbageCollection) {
-  QueueTracker q(2);
-  q.add(1);
-  q.add(2);
-  // By tick 3 both entries have issued; occupancy is zero and dispatch free.
-  EXPECT_EQ(q.occupancy(3), 0u);
-  EXPECT_EQ(q.earliest_dispatch(3), 3u);
-}
-
-TEST(QueueTracker, SizeAccessor) {
-  QueueTracker q(32);
-  EXPECT_EQ(q.size(), 32u);
-}
-
-TEST(QueueTracker, EarliestDispatchIsAPureQuery) {
-  // Regression: the old multiset tracker erased the earliest occupant
-  // inside earliest_dispatch, so a caller that probed without dispatching
-  // (the flush/re-steer path runs exec_in twice) silently freed a slot.
-  QueueTracker q(2);
-  q.add(100);
-  q.add(200);
-  EXPECT_EQ(q.earliest_dispatch(5), 100u);
-  EXPECT_EQ(q.earliest_dispatch(5), 100u);  // unchanged: no occupant was evicted
-  EXPECT_EQ(q.occupancy(5), 2u);            // both entries still live
-}
-
-TEST(QueueTracker, FullQueueWaitsForEnoughDepartures) {
-  // With the queue over-subscribed (probe + add pattern of the IR split
-  // loop), a dispatch must wait until occupancy actually drops below the
-  // queue size, i.e. for the n-th departure, not just the first.
-  QueueTracker q(1);
-  q.add(100);
-  EXPECT_EQ(q.earliest_dispatch(0), 100u);
-  q.add(150);  // the µop that dispatches at 100
-  EXPECT_EQ(q.earliest_dispatch(0), 150u);  // 2 live, size 1: needs 2 departures
-  EXPECT_EQ(q.earliest_dispatch(120), 150u);  // entry at 100 drained; 1 live, full
-  EXPECT_EQ(q.earliest_dispatch(150), 150u);  // all drained: dispatch immediately
-}
-
-TEST(QueueTracker, RepeatedOverfullProbesAreStable) {
-  // Over-subscribed queue (probe + add pattern): the multi-departure walk
-  // must not remember progress across calls — a pure query returns the
-  // same answer every time, and no live entry is skipped.
-  QueueTracker q(2);
-  q.add(100);
-  q.add(200);
-  q.add(300);
-  EXPECT_EQ(q.earliest_dispatch(0), 200u);  // 3 live, size 2: 2 departures
-  EXPECT_EQ(q.earliest_dispatch(0), 200u);  // identical on repeat
-  EXPECT_EQ(q.occupancy(0), 3u);
-  EXPECT_EQ(q.earliest_dispatch(100), 200u);  // entry at 100 drained: 2 live, full
-  EXPECT_EQ(q.earliest_dispatch(100), 200u);
-}
-
-TEST(QueueTracker, RingGrowsForFarFutureIssueTicks) {
-  QueueTracker q(4);
-  q.add(10);
-  q.add(u64{1} << 20);  // far beyond the initial ring capacity
-  EXPECT_EQ(q.occupancy(0), 2u);
-  EXPECT_EQ(q.occupancy(10), 1u);
-  EXPECT_EQ(q.occupancy(u64{1} << 20), 0u);
-}
-
 TEST(SlotSchedule, RingWrapAroundKeepsCounts) {
   // Drive the reservation window far past the 64k-cycle ring capacity: the
   // ring must keep per-cycle counts exact across the wrap.
@@ -151,8 +59,8 @@ TEST(SlotSchedule, RingWrapAroundKeepsCounts) {
   EXPECT_EQ(s.reserve(far), far);
   EXPECT_EQ(s.reserve(far), far);
   EXPECT_EQ(s.reserve(far), far + 1);  // width enforced after the wrap
-  EXPECT_FALSE(s.has_free_slot(far));
-  EXPECT_TRUE(s.has_free_slot(far + 1));
+  EXPECT_FALSE(s.free_slot_in(far, far + 1).free);
+  EXPECT_TRUE(s.free_slot_in(far + 1, far + 2).free);
 }
 
 TEST(SlotSchedule, GcHorizonAdvancesWithTheWindow) {
@@ -164,7 +72,9 @@ TEST(SlotSchedule, GcHorizonAdvancesWithTheWindow) {
   const Tick far = 5u << 16;
   (void)s.reserve(far);
   EXPECT_GT(s.gc_horizon_cycle(), 0u);
-  EXPECT_FALSE(s.has_free_slot(0));
+  const auto below_horizon = s.free_slot_in(0, 1);
+  EXPECT_FALSE(below_horizon.free);
+  EXPECT_TRUE(below_horizon.truncated);
   // A reservation below the horizon is clamped up to it.
   EXPECT_EQ(s.reserve(0), s.gc_horizon_cycle());
 }
@@ -210,8 +120,8 @@ TEST(SlotSchedule, FreeSlotInWideClockProbesWholeCycles) {
 
 // --- clear_slot_cycles vs the per-cycle GC loop -----------------------------
 
-// The loop SlotSchedule::gc_to and ClusterEpoch::gc_ring ran before both
-// called the shared word-at-a-time clear: the reference behaviour.
+// The per-cycle loop SlotSchedule::gc_to ran before it called the
+// word-at-a-time clear: the reference behaviour.
 void clear_slot_cycles_ref(std::vector<u8>& used, std::vector<u64>& full, u64 from, u64 to) {
   constexpr u64 kMask = kSlotWindowCycles - 1;
   for (u64 c = from; c < to; ++c) {
@@ -302,6 +212,67 @@ TEST_P(SlotScheduleWidths, ThroughputMatchesWidth) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, SlotScheduleWidths, ::testing::Values(1u, 2u, 3u, 6u));
+
+// --- MonotonicSlots vs SlotSchedule -----------------------------------------
+
+TEST(MonotonicSlots, RequestsBelowTheLastResultInTheSameCycleRun) {
+  // The IR split path's shape: one reserve at the dispatch tick, then three
+  // more at that same tick. Once the cycle spills, the later requests fall
+  // below the slot just returned; their cycle is still the previous
+  // request's, so the counter answers exactly like the ring.
+  MonotonicSlots mono(/*width=*/2, /*cycle_ticks=*/2);
+  SlotSchedule ring(2, 2);
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(mono.reserve(10), ring.reserve(10)) << k;
+  EXPECT_EQ(mono.reserve(10), 14u);  // cycles 5 and 6 are full
+  EXPECT_EQ(mono.reserve(11), 14u);  // a later tick in the same cycle
+}
+
+TEST(MonotonicSlots, MatchesSlotScheduleOnNonDecreasingRequestCycles) {
+  // Random streams whose request cycle never decreases: long runs of equal
+  // requests (split-shaped: a request, then three more at the tick it
+  // returned, or just at the same tick), ticks anywhere inside their cycle
+  // (so a tick may sit below the previous one in the same cycle), and
+  // forward steps from one cycle to far jumps.
+  for (unsigned width = 1; width <= 6; ++width) {
+    for (const Tick ct : {Tick{1}, Tick{2}, Tick{3}}) {
+      MonotonicSlots mono(width, ct);
+      SlotSchedule ring(width, ct);
+      Rng rng(0x5107 + width * 7 + ct);
+      u64 cycle = 0;
+      for (int i = 0; i < 20000; ++i) {
+        const u64 step = rng.below(8);
+        cycle += step < 4 ? 0 : step < 7 ? 1 + rng.below(3) : rng.below(1000);
+        const Tick tick = cycle * ct + rng.below(ct);
+        const Tick got = mono.reserve(tick);
+        ASSERT_EQ(got, ring.reserve(tick))
+            << "width " << width << " ct " << ct << " request " << i;
+        const u64 shape = rng.below(4);
+        if (shape == 0) {
+          // Split shape: three more slots at the returned tick.
+          for (int k = 0; k < 3; ++k)
+            ASSERT_EQ(mono.reserve(got), ring.reserve(got))
+                << "width " << width << " ct " << ct << " request " << i;
+          cycle = got / ct;
+        } else if (shape == 1) {
+          // A run of requests at the same tick, spilling past full cycles.
+          for (u64 k = rng.below(2 * width + 2); k > 0; --k)
+            ASSERT_EQ(mono.reserve(tick), ring.reserve(tick))
+                << "width " << width << " ct " << ct << " request " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(MonotonicSlots, DecreasingRequestCycleAborts) {
+  EXPECT_DEATH(
+      {
+        MonotonicSlots s(/*width=*/2, /*cycle_ticks=*/2);
+        (void)s.reserve(10);  // cycle 5
+        (void)s.reserve(8);   // cycle 4
+      },
+      "request cycle below the previous request's");
+}
 
 }  // namespace
 }  // namespace hcsim

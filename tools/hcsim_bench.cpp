@@ -28,7 +28,6 @@
 #include <span>
 
 #include "bbcache/bb_cache.hpp"
-#include "core/cluster_epoch.hpp"
 #include "sample/spec.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
@@ -119,15 +118,6 @@ int main(int argc, char** argv) {
     SimResult r = simulate(helper_ir, trace);
     if (r.final_tick == 0) std::abort();
   });
-  // Same baseline workload through the legacy SlotSchedule/QueueTracker
-  // structures (the HCSIM_EPOCH=0 path): the in-process A/B for the fused
-  // engine, immune to run-to-run machine-load drift.
-  epoch_set_enabled(false);
-  const double epoch_off = best_items_per_sec(n_uops, reps, [&] {
-    SimResult r = simulate(baseline, trace);
-    if (r.final_tick == 0) std::abort();
-  });
-  epoch_reset_enabled();
   const double streamed = best_items_per_sec(n_uops, reps, [&] {
     SimResult r = simulate_streamed(baseline, prof, n_uops);
     if (r.final_tick == 0) std::abort();
@@ -192,7 +182,6 @@ int main(int argc, char** argv) {
                 "  \"items_per_second\": {\n"
                 "    \"trace_gen\": %.0f,\n"
                 "    \"pipeline_baseline\": %.0f,\n"
-                "    \"pipeline_epoch_off\": %.0f,\n"
                 "    \"pipeline_batched\": %.0f,\n"
                 "    \"pipeline_batched_nocache\": %.0f,\n"
                 "    \"pipeline_helper_ir\": %.0f,\n"
@@ -201,7 +190,7 @@ int main(int argc, char** argv) {
                 "  }\n"
                 "}\n",
                 static_cast<unsigned long long>(n_uops), reps, helper_gap, gen,
-                base, epoch_off, batched, batched_nocache, ir, streamed, sampled);
+                base, batched, batched_nocache, ir, streamed, sampled);
   json += buf;
   std::fputs(json.c_str(), stdout);
   if (!json_path.empty()) {
