@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Daemon smoke (ctest): start hcsimd on a scratch socket, drive it with
-# hcsim_sweep --connect, and demand the fig06 grid's CSV be byte-identical
-# to the in-process run. Also covers the sweep CLI contract: --list prints
-# the registry, unknown sweep names and a zero sample warm-up in
-# fault-tolerant mode exit 2 with a diagnostic, and --connect --shutdown
-# stops the daemon.
-# Usage: daemon_smoke.sh <hcsimd> <hcsim_sweep> <work_dir>
+# hcsim_sweep --connect, and demand the fig06 grid's CSV and a sampled smoke
+# grid's CSV be byte-identical to the in-process runs. Also covers the CLI
+# contract: --list prints the registry; unknown sweep names, a zero sample
+# warm-up in fault-tolerant mode and a sample spec no run may use exit 2
+# with a diagnostic (hcsim_run too); and --connect --shutdown stops the
+# daemon.
+# Usage: daemon_smoke.sh <hcsimd> <hcsim_sweep> <work_dir> <hcsim_run>
 set -euo pipefail
 
 DAEMON=$1
 SWEEP=$2
 WORK_DIR=$3
+RUN=$4
 
 rm -rf "$WORK_DIR"
 mkdir -p "$WORK_DIR"
@@ -78,6 +80,35 @@ for mode in flag env; do
   grep -q "sample-warmup 0" "$WORK_DIR/warmup0.err"
 done
 
+# A sample spec no run may use exits 2 with its diagnostic, in-process, in
+# fault-tolerant mode and in hcsim_run: a period shorter than warmup +
+# measure, and a warmup + measure that overflows u64 (its auto period would
+# be 0, and the window plan would never end).
+MAX_U64=18446744073709551615
+for spec in "period" "overflows"; do
+  if [ "$spec" = period ]; then
+    flags="--sampled --sample-period 10"
+  else
+    flags="--sample-warmup 1 --sample-measure $MAX_U64"
+  fi
+  for tool in sweep sweep-journal run; do
+    set +e
+    case $tool in
+      sweep) "$SWEEP" smoke --len 19 --quiet $flags ;;
+      sweep-journal) "$SWEEP" smoke --len 19 --quiet $flags --journal-dir "$WORK_DIR/jbad" ;;
+      run) "$RUN" gcc ir 19 $flags ;;
+    esac > /dev/null 2> "$WORK_DIR/badspec.err"
+    rc=$?
+    set -e
+    if [ "$rc" -ne 2 ]; then
+      echo "bad sample spec ($spec, $tool): expected exit 2, got $rc" >&2
+      cat "$WORK_DIR/badspec.err" >&2
+      exit 1
+    fi
+    grep -q "$spec" "$WORK_DIR/badspec.err"
+  done
+done
+
 # --- daemon round trip --------------------------------------------------------
 "$DAEMON" --socket "$SOCK" --threads 2 2> "$WORK_DIR/hcsimd.log" &
 DPID=$!
@@ -97,6 +128,13 @@ cmp "$WORK_DIR/local.csv" "$WORK_DIR/remote.csv"
 # A second request on the warm daemon (cached traces) must agree too.
 "$SWEEP" fig06 --len 6000 --quiet --csv "$WORK_DIR/remote2.csv" --connect "$SOCK" > /dev/null
 cmp "$WORK_DIR/local.csv" "$WORK_DIR/remote2.csv"
+
+# Sampled jobs carry their own spec to the daemon; the sampled CSV must
+# match the in-process run too.
+SAMPLED="--len 50000 --sampled --sample-warmup 1000 --sample-measure 4000"
+"$SWEEP" smoke $SAMPLED --quiet --csv "$WORK_DIR/sampled_local.csv" > /dev/null
+"$SWEEP" smoke $SAMPLED --quiet --csv "$WORK_DIR/sampled_remote.csv" --connect "$SOCK" > /dev/null
+cmp "$WORK_DIR/sampled_local.csv" "$WORK_DIR/sampled_remote.csv"
 
 "$SWEEP" --connect "$SOCK" --shutdown
 wait "$DPID"

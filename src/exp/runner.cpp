@@ -63,22 +63,12 @@ void ThreadPool::worker_loop() {
   }
 }
 
-// --- run_sweep --------------------------------------------------------------
+// --- run_batch --------------------------------------------------------------
 
-namespace {
-
-/// Run all jobs: inline when serial, else on `pool` (or a private pool when
-/// none was supplied). Each job must be independent of the others (they may
-/// run in any order). `cancelled` is polled before each job — queued jobs
-/// still drain through their wrapper, they just skip the work.
-void run_jobs(std::vector<std::function<void()>>& jobs, unsigned threads,
-              ThreadPool* pool, const std::function<bool()>& cancelled) {
-  const auto stop = [&cancelled] { return cancelled && cancelled(); };
+void run_batch(std::vector<std::function<void()>>& jobs, unsigned threads,
+               ThreadPool* pool) {
   if (!pool && threads <= 1) {
-    for (auto& job : jobs) {
-      if (stop()) return;
-      job();
-    }
+    for (auto& job : jobs) job();
     return;
   }
 
@@ -97,7 +87,7 @@ void run_jobs(std::vector<std::function<void()>>& jobs, unsigned threads,
   }
   for (auto& job : jobs)
     pool->submit([&, job = std::move(job)] {
-      if (!stop()) job();
+      job();
       std::lock_guard<std::mutex> lock(mu);
       if (--left == 0) cv.notify_all();
     });
@@ -105,10 +95,11 @@ void run_jobs(std::vector<std::function<void()>>& jobs, unsigned threads,
   cv.wait(lock, [&left] { return left == 0; });
 }
 
-}  // namespace
+// --- run_sweep --------------------------------------------------------------
 
 SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
   const auto t0 = std::chrono::steady_clock::now();
+  const sample::SampleSpec sampling = sample::active_sample_spec();
 
   unsigned threads = opts.threads;
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
@@ -181,7 +172,7 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
   // RSS, and a streamed 1M-µop helper_design sweep at 4 threads 25%
   // slower).
   const u64 threshold = stream_threshold();
-  const bool sampled = sample::active_sample_spec().enabled();
+  const bool sampled = sampling.enabled();
   const auto shares_pass = [&](const Cell& cell) {
     return sampled && cell.n_records > threshold;
   };
@@ -210,10 +201,11 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
         for (std::size_t i = lo; i < hi; ++i)
           cfgs.push_back(i == 0 ? spec.baseline : cell.points[i - 1]->variant.machine);
         if (cfgs.size() == 1) {
-          cell.sims[lo] = simulate_workload(cfgs[0], *cell.profile, cell.n_records);
+          cell.sims[lo] =
+              simulate_workload(cfgs[0], *cell.profile, cell.n_records, sampling);
         } else {
-          std::vector<sample::SampledResult> runs = sample::simulate_configs(
-              cfgs, *cell.profile, cell.n_records, sample::active_sample_spec());
+          std::vector<sample::SampledResult> runs =
+              sample::simulate_configs(cfgs, *cell.profile, cell.n_records, sampling);
           for (std::size_t i = lo; i < hi; ++i) cell.sims[i] = std::move(runs[i - lo].total);
         }
         if (lo == 0) cell.power = analyze_power(cell.sims[0], spec.baseline);
@@ -231,9 +223,8 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
         for (std::size_t i : ready) finish_point(cell, i);
       });
     }
-  run_jobs(jobs, threads, opts.pool, opts.cancelled);
+  run_batch(jobs, threads, opts.pool);
 
-  result.cancelled = opts.cancelled && opts.cancelled();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return result;

@@ -79,15 +79,9 @@ struct RunOptions {
   /// Progress callback, invoked once per finished point (completion order,
   /// serialized — never concurrently). `done` counts finished points.
   std::function<void(const PointResult&, u64 done, u64 total)> on_point;
-  /// Cooperative cancellation, polled between jobs (a running job finishes;
-  /// a sampled streamed job can cover several points). When it returns
-  /// true remaining points are skipped and the result comes back with
-  /// `cancelled` set — the daemon wires this to "client still connected?".
-  std::function<bool()> cancelled;
   /// Schedule jobs on an existing pool instead of creating one per call.
   /// The sweep only waits for its own jobs, so several run_sweep calls may
-  /// share one pool concurrently (hcsimd runs every client's sweeps on a
-  /// single process-wide pool). Not owned.
+  /// share one pool concurrently. Not owned.
   ThreadPool* pool = nullptr;
 };
 
@@ -95,21 +89,27 @@ struct SweepResult {
   std::string sweep;
   unsigned threads_used = 1;
   double wall_seconds = 0.0;
-  /// True when RunOptions::cancelled stopped the run early; `points` then
-  /// contains default-constructed entries for the skipped points and must
-  /// not be reported as a complete sweep.
-  bool cancelled = false;
   /// Always in grid-expansion order (point.index), regardless of the order
   /// points finished in.
   std::vector<PointResult> points;
 };
 
-/// Execute every point of the sweep. Baseline simulations are shared: one
-/// per unique (workload, seed, length) cell, not one per point. Each of a
-/// cell's configs (the baseline and every variant) is its own job, except
-/// in a sampled sweep (sample::active_sample_spec() enabled) on a streamed
-/// trace (longer than stream_threshold()): there a job runs a range of the
-/// cell's configs one after another from a single pass over the trace
+/// Run every job of `jobs` and return when all have finished: inline, in
+/// order, when `pool` is null and `threads` <= 1; otherwise on `pool`, or on
+/// a private pool of `threads` workers when `pool` is null. Jobs must be
+/// independent of each other (they may run in any order). Waits only for
+/// these jobs, so callers may share one pool concurrently. The jobs are
+/// moved from.
+void run_batch(std::vector<std::function<void()>>& jobs, unsigned threads,
+               ThreadPool* pool);
+
+/// Execute every point of the sweep under the active sample spec
+/// (sample::active_sample_spec(), read once at entry). Baseline simulations
+/// are shared: one per unique (workload, seed, length) cell, not one per
+/// point. Each of a cell's configs (the baseline and every variant) is its
+/// own job, except in a sampled sweep on a streamed trace (longer than
+/// stream_threshold()): there a job runs a range of the cell's configs one
+/// after another from a single pass over the trace
 /// (sample::simulate_configs), with just enough jobs per cell for two per
 /// thread.
 SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts = {});

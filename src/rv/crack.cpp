@@ -381,7 +381,7 @@ bool RvStreamCursor::refill() {
 RvTraceInfo RvStreamCursor::pump_range(
     u64 begin, u64 end, const std::function<void(const TraceRecord&)>& sink) {
   HCSIM_CHECK(begin <= end, "RvStreamCursor: begin > end");
-  HCSIM_CHECK(begin >= pos_, "RvStreamCursor: backward seek (restore a checkpoint)");
+  HCSIM_CHECK(begin >= pos_, "RvStreamCursor: backward seek");
   while (pos_ < end) {
     if (head_ == pending_.size()) {
       pending_.clear();
@@ -398,23 +398,6 @@ RvTraceInfo RvStreamCursor::pump_range(
     }
   }
   return info();
-}
-
-RvStreamCursor::Checkpoint RvStreamCursor::checkpoint() const {
-  Checkpoint c;
-  c.machine = machine_.save();
-  c.pos = pos_;
-  c.pending.assign(pending_.begin() + static_cast<std::ptrdiff_t>(head_),
-                   pending_.end());
-  return c;
-}
-
-void RvStreamCursor::restore(const Checkpoint& c) {
-  machine_.restore(c.machine);
-  cut_ = false;  // positions never pass the cut, so no checkpoint lies beyond it
-  pending_ = c.pending;
-  head_ = 0;
-  pos_ = c.pos;
 }
 
 Trace trace_from_program(const RvProgram& prog, u64 max_uops, RvTraceInfo* info,

@@ -77,10 +77,6 @@ void emit_step_records(const CrackedProgram& cracked, const RvStep& step,
 /// crack runs past the range boundary the leftover records stay buffered
 /// for the next range (over-pump-and-trim at instruction granularity, the
 /// same contract KernelStream::pump_range honored by re-executing).
-///
-/// checkpoint()/restore() capture machine state + buffered records, so a
-/// holder can rewind to any previously saved position in O(mem_bytes)
-/// instead of re-executing from the entry point.
 class RvStreamCursor {
  public:
   /// Borrows `prog` and `cracked` (must be crack_program(prog)); the caller
@@ -94,20 +90,12 @@ class RvStreamCursor {
   u64 position() const { return pos_; }
 
   /// Push records [begin, end) to `sink` in stream order; begin must be at
-  /// or past position() (records already consumed cannot be re-delivered —
-  /// restore a checkpoint instead). Skipping [position(), begin) executes
-  /// and discards. Delivered short if the program halts, traps, exhausts
-  /// its instruction budget or reaches the µop budget first.
+  /// or past position() (records already consumed cannot be re-delivered).
+  /// Skipping [position(), begin) executes and discards. Delivered short if
+  /// the program halts, traps, exhausts its instruction budget or reaches
+  /// the µop budget first.
   RvTraceInfo pump_range(u64 begin, u64 end,
                          const std::function<void(const TraceRecord&)>& sink);
-
-  struct Checkpoint {
-    RvMachineState machine;
-    u64 pos = 0;                       // stream position of pending.front()
-    std::vector<TraceRecord> pending;  // undelivered tail of a mid-range crack
-  };
-  Checkpoint checkpoint() const;
-  void restore(const Checkpoint& c);
 
   /// Provenance so far (instret / completed / trap), same fields pump_range
   /// returns.

@@ -43,26 +43,6 @@ RvMachine::Outcome RvMachine::trap(const std::string& msg) {
   return Outcome::kTrapped;
 }
 
-RvMachineState RvMachine::save() const {
-  RvMachineState s;
-  s.regs = x_;
-  s.mem = mem_;
-  s.pc = pc_;
-  s.steps = steps_;
-  s.completed = completed_;
-  s.error = error_;
-  return s;
-}
-
-void RvMachine::restore(const RvMachineState& s) {
-  x_ = s.regs;
-  mem_ = s.mem;
-  pc_ = s.pc;
-  steps_ = s.steps;
-  completed_ = s.completed;
-  error_ = s.error;
-}
-
 RvMachine::Outcome RvMachine::step(RvStep& out) {
   if (!error_.empty()) return Outcome::kTrapped;
   if (completed_) return Outcome::kHalted;

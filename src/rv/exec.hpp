@@ -8,12 +8,10 @@
 //
 // Two entry points share one interpreter:
 //   - execute(): run-to-completion with a per-step sink (the original API).
-//   - RvMachine: a *resumable* stepper whose full architectural state
-//     (registers, memory, pc, retired count) can be snapshotted and
-//     restored. This is what makes an RV trace producer seekable — the
-//     trace bus (src/bus) and the windowed sampler checkpoint machine
-//     state at window entries so a seek restores the nearest checkpoint
-//     instead of re-executing from the entry point (O(period), not
+//   - RvMachine: a *resumable* stepper holding the full architectural state
+//     (registers, memory, pc, retired count). The windowed sampler's RV
+//     record stream keeps one machine across its windows, so a forward seek
+//     executes only the gap since the previous window (O(period), not
 //     O(begin)).
 //
 // Halting: ECALL / EBREAK retire and halt, as does a jump to the
@@ -60,22 +58,8 @@ struct RvExecResult {
   std::string error;       // nonempty on trap (bad pc/address/instruction)
 };
 
-/// Full resumable machine state: everything `restore` needs to continue a
-/// run bit-identically from where `save` left it. Memory dominates the
-/// size (ExecLimits::mem_bytes, 1MB by default) — checkpoint holders cap
-/// their count, not their interval.
-struct RvMachineState {
-  std::array<u32, 32> regs{};
-  std::vector<u8> mem;
-  u32 pc = 0;
-  u64 steps = 0;
-  bool completed = false;
-  std::string error;
-};
-
 /// Steppable RV32I interpreter. Construct once per program; `step` retires
-/// one instruction at a time. All state lives in the object, so `save` /
-/// `restore` give O(mem_bytes) checkpoints at any instruction boundary.
+/// one instruction at a time, and all state lives in the object.
 class RvMachine {
  public:
   enum class Outcome {
@@ -97,9 +81,6 @@ class RvMachine {
   /// True once ecall/ebreak retired or the halt sentinel was reached.
   bool completed() const { return completed_; }
   const std::string& error() const { return error_; }
-
-  RvMachineState save() const;
-  void restore(const RvMachineState& s);
 
  private:
   Outcome trap(const std::string& msg);

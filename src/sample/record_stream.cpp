@@ -24,11 +24,6 @@ class TraceRecordStream final : public RecordStream {
     for (u64 i = begin; i < stop; ++i) sink(trace_.records[i]);
   }
 
-  bool try_rewind(u64 pos) override {
-    (void)pos;  // index slices carry no position state
-    return true;
-  }
-
  private:
   const Trace& trace_;
 };
@@ -85,76 +80,30 @@ class CursorRecordStream final : public RecordStream {
   u64 pos_ = 0;
 };
 
-/// Checkpoint cadence for the RV kernel stream: one executor-state snapshot
-/// per window entry, but never closer together than this many µops (each
-/// snapshot copies the machine's memory, ExecLimits::mem_bytes).
-constexpr u64 kCheckpointInterval = 1u << 20;
-/// Snapshot count cap; on overflow every second checkpoint is dropped,
-/// doubling the effective spacing (memory stays bounded, rewinds stay
-/// O(spacing) instead of O(begin)).
-constexpr std::size_t kMaxCheckpoints = 32;
-
 /// RV kernel: a resumable executor cursor. The machine persists across
-/// feed_range calls (seeks cost O(gap), not O(begin)), and window-entry
-/// checkpoints make the stream rewindable — a backward range restores the
-/// nearest snapshot at or below the target instead of re-executing from the
-/// kernel entry point.
+/// feed_range calls, so a seek executes and discards only the gap since the
+/// previous range, not the trace from its entry point.
 class KernelRecordStream final : public RecordStream {
  public:
   /// The first n_records µops of the kernel, cut at an instruction boundary
   /// like rv::kernel_trace(kernel, n_records).
   KernelRecordStream(const std::string& kernel, u64 n_records)
       : stream_(rv::open_kernel_stream(kernel)),
-        n_records_(n_records),
         cursor_(stream_.binary, stream_.cracked, n_records) {}
 
   const Program& program() const override { return stream_.cracked.program; }
 
   void feed_range(u64 begin, u64 end, const RecordSink& sink) override {
-    HCSIM_CHECK(begin >= cursor_.position(),
-                "KernelRecordStream: backward seek (call try_rewind first)");
+    HCSIM_CHECK(begin >= cursor_.position(), "KernelRecordStream: backward seek");
     if (begin > cursor_.position())
       note_forward_seek("rv-kernel", begin - cursor_.position());
-    maybe_checkpoint(begin);
     const rv::RvTraceInfo info = cursor_.pump_range(begin, end, sink);
     HCSIM_CHECK(info.error.empty(), "rv executor trapped: " + info.error);
   }
 
-  bool try_rewind(u64 pos) override {
-    if (pos >= cursor_.position()) return true;  // no progress to undo
-    const rv::RvStreamCursor::Checkpoint* best = nullptr;
-    for (const auto& c : ckpts_)
-      if (c.pos <= pos && (!best || c.pos > best->pos)) best = &c;
-    if (best) {
-      cursor_.restore(*best);
-    } else {
-      // Entry state is an implicit checkpoint at position 0.
-      cursor_ = rv::RvStreamCursor(stream_.binary, stream_.cracked, n_records_);
-    }
-    return true;
-  }
-
  private:
-  /// Snapshot the cursor at a window entry: advance (executing + discarding)
-  /// to `begin`, then save, respecting spacing and count caps.
-  void maybe_checkpoint(u64 begin) {
-    if (!ckpts_.empty() && begin < ckpts_.back().pos + kCheckpointInterval) return;
-    if (begin == 0) return;  // the fresh-cursor fallback already covers 0
-    cursor_.pump_range(begin, begin, [](const TraceRecord&) {});
-    if (cursor_.position() < begin) return;  // stream ended before `begin`
-    if (ckpts_.size() == kMaxCheckpoints) {
-      std::vector<rv::RvStreamCursor::Checkpoint> thinned;
-      for (std::size_t i = 0; i < ckpts_.size(); i += 2)
-        thinned.push_back(std::move(ckpts_[i]));
-      ckpts_ = std::move(thinned);
-    }
-    ckpts_.push_back(cursor_.checkpoint());
-  }
-
   rv::KernelStream stream_;
-  u64 n_records_;
   rv::RvStreamCursor cursor_;  // borrows stream_: declared after it
-  std::vector<rv::RvStreamCursor::Checkpoint> ckpts_;  // pos ascending
 };
 
 }  // namespace
@@ -164,8 +113,8 @@ void note_forward_seek(const char* backend, u64 n_discard) {
   log_warn_once(std::string("forward-seek:") + backend,
                 std::string(backend) + " stream seek discarded " +
                     std::to_string(n_discard) +
-                    " records (forward-only backend; consider the shared-memory "
-                    "bus or wider sampling periods)");
+                    " records (forward-only backend; consider wider sampling "
+                    "periods)");
 }
 
 std::unique_ptr<RecordStream> open_trace_stream(const Trace& trace) {

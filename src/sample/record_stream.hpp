@@ -8,8 +8,8 @@
 //   - CursorRecordStream — the synthetic generator's pull cursor
 //                          (seeks forward by stepping the interpreter
 //                          without building records)
-//   - KernelRecordStream — the RV functional executor's push stream
-//                          (re-executes from entry, delivering the slice)
+//   - KernelRecordStream — a resumable RV executor cursor (seeks execute
+//                          and discard the gap)
 // All three deliver bit-identical records for the same range, so serial
 // windowed runs (one stream, windows in trace order) and parallel sliced
 // runs (a fresh stream per window job) agree exactly.
@@ -38,19 +38,6 @@ class RecordStream {
   /// be at or after the furthest position already delivered (streams only
   /// move forward); ranges past the end of the trace are delivered short.
   virtual void feed_range(u64 begin, u64 end, const RecordSink& sink) = 0;
-
-  /// Undo forward progress so the next feed_range may start at `pos` again.
-  /// Backends with cheap repositioning override this: the materialized
-  /// trace seeks freely, and the RV kernel stream restores the nearest
-  /// executor-state checkpoint at or below `pos` (taken every
-  /// kCheckpointInterval µops while streaming). Returns false when the
-  /// backend cannot rewind — the caller reopens a fresh stream from its
-  /// factory instead (paying the O(begin) replay this method exists to
-  /// avoid). Default: not rewindable.
-  virtual bool try_rewind(u64 pos) {
-    (void)pos;
-    return false;
-  }
 };
 
 /// Forward-seek visibility (ROADMAP item 3): discarding more than this many

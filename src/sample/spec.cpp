@@ -1,6 +1,7 @@
 #include "sample/spec.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "util/log.hpp"
@@ -16,9 +17,17 @@ u64 SampleSpec::resolved_period(u64 trace_len) const {
 }
 
 void SampleSpec::validate() const {
-  if (!enabled()) return;
-  HCSIM_CHECK(period == 0 || period >= warmup + measure,
-              "SampleSpec: period must be 0 (auto) or >= warmup + measure");
+  const std::string error = spec_error(*this);
+  HCSIM_CHECK(error.empty(), "SampleSpec: " + error);
+}
+
+std::string spec_error(const SampleSpec& spec) {
+  if (!spec.enabled()) return "";
+  if (spec.warmup > std::numeric_limits<u64>::max() - spec.measure)
+    return "sample warmup + measure overflows u64";
+  if (spec.period != 0 && spec.period < spec.warmup + spec.measure)
+    return "sample period must be 0 (auto) or >= warmup + measure";
+  return "";
 }
 
 std::string SampleSpec::describe() const {

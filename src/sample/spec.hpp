@@ -13,6 +13,10 @@
 // re-simulated from a cold Pipeline, so a window is a pure function of
 // (machine config, program, record range). Serial and thread-pool-sliced
 // windowed runs are therefore bit-identical by construction.
+//
+// A spec travels as a value: simulate_workload, the windowed simulator and
+// every hcsimd job take it as an argument, so a result depends on its own
+// spec only.
 #pragma once
 
 #include <string>
@@ -43,12 +47,18 @@ struct SampleSpec {
   /// The concrete period for a trace of `trace_len` records.
   u64 resolved_period(u64 trace_len) const;
 
-  /// Fatal on an inconsistent spec (enabled with period < warmup+measure).
+  /// Fatal when spec_error() names a broken rule.
   void validate() const;
 
   /// "warmup=20000 measure=80000 period=auto windows=all"-style summary.
   std::string describe() const;
 };
+
+/// The first rule an enabled spec breaks, or "" when it breaks none:
+/// warmup + measure must fit in a u64, and a nonzero period must be at least
+/// warmup + measure. Front ends that take a spec from a user or a socket
+/// check this and refuse the spec; validate() aborts on it.
+std::string spec_error(const SampleSpec& spec);
 
 /// Spec assembled from the HCSIM_SAMPLE_WARMUP / HCSIM_SAMPLE_MEASURE /
 /// HCSIM_SAMPLE_PERIOD / HCSIM_SAMPLE_MAX_WINDOWS environment variables.
@@ -59,10 +69,11 @@ SampleSpec spec_from_env();
 inline constexpr u64 kDefaultWarmup = 20000;
 inline constexpr u64 kDefaultMeasure = 80000;
 
-/// Process-wide active spec consulted by simulate_workload(): initialized
-/// from spec_from_env(), overridable by CLI front-ends. Set it before
-/// spawning sweep workers — reads are unsynchronized by design (the value
-/// is fixed for the lifetime of a run).
+/// Process-wide active spec: initialized from spec_from_env(), overridable
+/// by CLI front-ends. Only two entry points read it, once per call:
+/// exp::run_sweep and run_app/run_app_configs (so the figure benches honour
+/// HCSIM_SAMPLE_*). Everything below them takes the spec as an argument.
+/// Set it before calling them — reads are unsynchronized by design.
 const SampleSpec& active_sample_spec();
 void set_active_sample_spec(const SampleSpec& spec);
 

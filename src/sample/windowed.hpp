@@ -84,8 +84,8 @@ SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& 
 /// record spans. With a disabled spec (or no measurable window) every
 /// pipeline is fed the whole trace instead. Result k is bit-identical to
 /// simulate_sampled(cfgs[k], profile, n_records, spec), and its `total` to
-/// simulate_workload(cfgs[k], profile, n_records) under `spec` as the
-/// active spec; the trace is read once, not once per config.
+/// simulate_workload(cfgs[k], profile, n_records, spec); the trace is read
+/// once, not once per config.
 std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
                                             const WorkloadProfile& profile, u64 n_records,
                                             const SampleSpec& spec);

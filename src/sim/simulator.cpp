@@ -51,12 +51,10 @@ SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& pro
 }
 
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
-                            u64 n_records) {
+                            u64 n_records, const sample::SampleSpec& spec) {
   if (n_records == 0) n_records = default_trace_len();
-  // Sampling hook: with an active spec every workload simulation — sweeps,
-  // figure benches, CLIs — becomes a windowed run. Windows stay serial here
-  // because callers (the sweep runner) already parallelize across points.
-  const sample::SampleSpec& spec = sample::active_sample_spec();
+  // Windows stay serial here because callers (the sweep runner, the
+  // daemon) already parallelize across jobs.
   if (spec.enabled())
     return sample::simulate_sampled(cfg, profile, n_records, spec).total;
   if (n_records <= stream_threshold())
@@ -90,22 +88,25 @@ const Trace& cached_trace(const WorkloadProfile& profile, u64 n_records) {
 AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
                u64 n_records) {
   if (n_records == 0) n_records = default_trace_len();
+  const sample::SampleSpec spec = sample::active_sample_spec();
   AppRun run;
   run.app = profile.name;
-  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records);
-  run.helper = simulate_workload(helper_machine(steer), profile, n_records);
+  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records, spec);
+  run.helper = simulate_workload(helper_machine(steer), profile, n_records, spec);
   return run;
 }
 
 MultiRun run_app_configs(const WorkloadProfile& profile,
                          std::span<const SteeringConfig> configs, u64 n_records) {
   if (n_records == 0) n_records = default_trace_len();
+  const sample::SampleSpec spec = sample::active_sample_spec();
   MultiRun run;
   run.app = profile.name;
-  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records);
+  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records, spec);
   run.configs.reserve(configs.size());
   for (const SteeringConfig& sc : configs)
-    run.configs.push_back(simulate_workload(helper_machine(sc), profile, n_records));
+    run.configs.push_back(
+        simulate_workload(helper_machine(sc), profile, n_records, spec));
   return run;
 }
 

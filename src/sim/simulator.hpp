@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "sample/spec.hpp"
 #include "wload/executor.hpp"
 #include "wload/profile.hpp"
 
@@ -42,13 +43,12 @@ SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& pro
 
 /// Simulate one workload: cached in-memory trace for runs at or below
 /// stream_threshold() (shared across experiments), streaming above it.
-/// When the process-wide sampling spec (sample::active_sample_spec(),
-/// HCSIM_SAMPLE_* environment variables or a CLI front-end) is enabled, the
-/// run goes through the src/sample windowed simulator instead and the
-/// returned result is the spliced measured-window aggregate — which is how
-/// every named sweep runs sampled without new plumbing.
+/// When `spec` is enabled the run goes through the src/sample windowed
+/// simulator instead and the returned result is the spliced measured-window
+/// aggregate. The result is a function of the arguments alone.
+/// n_records == 0 resolves to default_trace_len().
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
-                            u64 n_records = 0);
+                            u64 n_records, const sample::SampleSpec& spec);
 
 /// One application simulated on the monolithic baseline and on a helper
 /// cluster configuration.
@@ -60,11 +60,14 @@ struct AppRun {
   double perf_increase_pct() const { return (speedup() - 1.0) * 100.0; }
 };
 
+/// Baseline and helper runs of one application. The active sample spec
+/// (sample::active_sample_spec(), HCSIM_SAMPLE_*) is read once per call and
+/// applies to both runs — the figure benches' sampling knob.
 AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
                u64 n_records = 0);
 
 /// One application against several steering configurations (shared trace and
-/// shared baseline run).
+/// shared baseline run), under the active sample spec read once per call.
 struct MultiRun {
   std::string app;
   SimResult baseline;

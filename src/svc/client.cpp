@@ -53,16 +53,16 @@ Client& Client::operator=(Client&& other) noexcept {
   return *this;
 }
 
-bool Client::round_trip(u8 type, const std::vector<u8>& payload, u8 expect,
-                        Frame& reply, std::string& error) {
+bool Client::round_trip(u8 type, u8 expect, std::string& error) {
   if (!ok()) {
     error = error_.empty() ? "not connected" : error_;
     return false;
   }
-  if (!write_frame(fd_, type, payload, timeout_ms_)) {
+  if (!write_frame(fd_, type, {}, timeout_ms_)) {
     error = "connection lost while sending";
     return false;
   }
+  Frame reply;
   std::string frame_err;
   if (!read_frame(fd_, reply, kMaxResponseFrame, &frame_err, timeout_ms_)) {
     error = frame_err.empty() ? "daemon closed the connection" : frame_err;
@@ -80,51 +80,9 @@ bool Client::round_trip(u8 type, const std::vector<u8>& payload, u8 expect,
   return true;
 }
 
-bool Client::sweep(const SweepRequest& req, SweepResponse& resp, std::string& error) {
-  std::vector<u8> payload;
-  encode(payload, req);
-  Frame reply;
-  if (!round_trip(kSweep, payload, kResult, reply, error)) return false;
-  wire::Reader r(reply.payload.data(), reply.payload.size());
-  if (!decode(r, resp)) {
-    error = "malformed result payload";
-    return false;
-  }
-  return true;
-}
+bool Client::ping(std::string& error) { return round_trip(kPing, kPong, error); }
 
-bool Client::list_sweeps(std::vector<std::string>& names, std::string& error) {
-  Frame reply;
-  if (!round_trip(kListSweeps, {}, kSweepList, reply, error)) return false;
-  wire::Reader r(reply.payload.data(), reply.payload.size());
-  if (!decode_sweep_list(r, names)) {
-    error = "malformed sweep list";
-    return false;
-  }
-  return true;
-}
-
-bool Client::ping(std::string& error) {
-  Frame reply;
-  return round_trip(kPing, {}, kPong, reply, error);
-}
-
-bool Client::serve_trace(const ServeTraceRequest& req, std::string& error) {
-  std::vector<u8> payload;
-  encode(payload, req);
-  Frame reply;
-  return round_trip(kServeTrace, payload, kServing, reply, error);
-}
-
-bool Client::shutdown(std::string& error) {
-  Frame reply;
-  return round_trip(kShutdown, {}, kBye, reply, error);
-}
-
-bool Client::cancel() {
-  if (!ok()) return false;
-  return write_frame(fd_, kCancel, {}, timeout_ms_);
-}
+bool Client::shutdown(std::string& error) { return round_trip(kShutdown, kBye, error); }
 
 Client::BatchStatus Client::run_jobs(
     const std::vector<JobRequest>& reqs,

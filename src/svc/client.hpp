@@ -35,19 +35,14 @@ class Client {
 
   /// Round-trips. Each returns false with `error` set on a protocol error,
   /// daemon-side failure (kError reply), or connection loss.
-  bool sweep(const SweepRequest& req, SweepResponse& resp, std::string& error);
-  bool list_sweeps(std::vector<std::string>& names, std::string& error);
   bool ping(std::string& error);
-  bool serve_trace(const ServeTraceRequest& req, std::string& error);
   /// Ask the daemon to exit (waits for the kBye acknowledgement).
   bool shutdown(std::string& error);
-  /// Fire-and-forget cancel of the daemon's in-flight job.
-  bool cancel();
 
   /// How a run_jobs batch ended. kTransport means the connection is dead
   /// (reconnect and re-submit — results already delivered stay delivered);
   /// kRemoteError is a daemon-side verdict retrying cannot change (bad
-  /// version, mixed sample specs).
+  /// version, bad sample spec, unrunnable machine config).
   enum class BatchStatus { kDone, kTransport, kRemoteError };
 
   /// Submit a kRunJobs batch and stream the kJobResult frames into
@@ -59,9 +54,8 @@ class Client {
                        JobsDone& done, std::string& error);
 
  private:
-  /// Send `type`+payload, then read the reply frame, unwrapping kError.
-  bool round_trip(u8 type, const std::vector<u8>& payload, u8 expect,
-                  Frame& reply, std::string& error);
+  /// Send an empty `type` frame, then read the reply, unwrapping kError.
+  bool round_trip(u8 type, u8 expect, std::string& error);
 
   int fd_ = -1;
   int timeout_ms_ = -1;

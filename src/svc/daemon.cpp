@@ -1,23 +1,17 @@
 #include "svc/daemon.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
-#include "bus/trace_bus.hpp"
-#include "exp/sweep.hpp"
-#include "sample/record_stream.hpp"
-#include "sim/simulator.hpp"
 #include "svc/io.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
@@ -30,80 +24,6 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
-/// A trace-bus producer the daemon hosts: the ring (daemon-owned, so the
-/// segment file is unlinked when the job dies) plus its serving thread.
-struct ServeJob {
-  bus::ShmRing ring;
-  std::thread thread;
-  std::atomic<bool> done{false};
-};
-
-/// True when the client is gone (EOF/HUP) or sent kCancel. Pipelined
-/// non-cancel frames are left un-consumed for the main loop.
-bool connection_cancelled(int fd) {
-  const int r = io::poll_in(fd, 0);
-  if (r < 0) return true;  // poll error: the descriptor is unusable
-  if (r == 0) return false;
-
-  u8 head[5];
-  ssize_t got;
-  do {
-    got = ::recv(fd, head, sizeof(head), MSG_PEEK | MSG_DONTWAIT);
-  } while (got < 0 && errno == EINTR);
-  if (got == 0) return true;  // orderly EOF: client departed mid-job
-  if (got < 0) return !(errno == EAGAIN || errno == EWOULDBLOCK);
-  if (got < static_cast<ssize_t>(sizeof(head))) return false;  // partial header
-  const u32 len = wire::load_u32le(head);
-  if (len != 1 || head[4] != kCancel) return false;  // a pipelined request
-  do {
-    got = ::recv(fd, head, sizeof(head), 0);  // consume the cancel frame
-  } while (got < 0 && errno == EINTR);
-  return true;
-}
-
-/// Thread-safe wrapper for the sweep's cancelled callback: run_jobs polls it
-/// from every pool worker concurrently, but connection_cancelled consumes
-/// bytes from the socket — two threads probing at once could each take the
-/// 5-byte kCancel frame and the second would steal bytes from a pipelined
-/// request. try_lock funnels the probe through one thread at a time, and the
-/// verdict latches so nothing touches the socket after cancellation.
-class CancelLatch {
- public:
-  explicit CancelLatch(int fd) : fd_(fd) {}
-
-  bool check() {
-    if (cancelled_.load(std::memory_order_acquire)) return true;
-    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
-    if (!lock.owns_lock())  // another worker is probing right now
-      return cancelled_.load(std::memory_order_acquire);
-    if (connection_cancelled(fd_)) cancelled_.store(true, std::memory_order_release);
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  const int fd_;
-  std::mutex mu_;
-  std::atomic<bool> cancelled_{false};
-};
-
-/// kServeTrace confinement: accept only a plain filename directly inside
-/// `shm_dir` — no subdirectories, no "..", no empty name. The path names a
-/// file the daemon will create (and may unlink), so anything looser hands a
-/// hostile client the daemon's filesystem permissions.
-bool shm_path_allowed(const std::string& path, const std::string& shm_dir,
-                      std::string& error) {
-  std::string dir = shm_dir;
-  while (dir.size() > 1 && dir.back() == '/') dir.pop_back();
-  const std::string prefix = dir + "/";
-  const bool inside = path.size() > prefix.size() &&
-                      path.compare(0, prefix.size(), prefix) == 0 &&
-                      path.find('/', prefix.size()) == std::string::npos &&
-                      path.find("..") == std::string::npos;
-  if (!inside)
-    error = "shm_path must be a plain filename under " + dir + "/";
-  return inside;
-}
 
 class Daemon {
  public:
@@ -145,8 +65,6 @@ class Daemon {
         break;
       }
       if (r == 0) {
-        reap_serve_jobs();
-        if (!serve_jobs_.empty()) continue;  // a consumer is still attached
         std::fprintf(stderr, "hcsimd: idle for %llums, shutting down\n",
                      static_cast<unsigned long long>(opts_.idle_timeout_ms));
         break;
@@ -159,12 +77,10 @@ class Daemon {
       }
       shutdown_requested = handle_connection(fd);
       ::close(fd);
-      reap_serve_jobs();
     }
 
     ::close(listen_fd);
     ::unlink(opts_.socket_path.c_str());
-    release_serve_jobs();
     std::fprintf(stderr, "hcsimd: bye\n");
     return 0;
   }
@@ -222,26 +138,12 @@ class Daemon {
         return false;
       }
       switch (frame.type) {
-        case kSweep:
-          handle_sweep(fd, frame);
-          break;
-        case kListSweeps: {
-          std::vector<u8> payload;
-          encode_sweep_list(payload, exp::sweep_names());
-          write_frame(fd, kSweepList, payload);
-          break;
-        }
         case kPing:
           write_frame(fd, kPong, {});
           break;
-        case kCancel:
-          break;  // nothing in flight: a late cancel is a no-op
         case kShutdown:
           write_frame(fd, kBye, {});
           return true;
-        case kServeTrace:
-          handle_serve_trace(fd, frame);
-          break;
         case kRunJobs:
           if (!handle_run_jobs(fd, frame)) return false;
           break;
@@ -250,36 +152,6 @@ class Daemon {
           break;
       }
     }
-  }
-
-  void handle_sweep(int fd, const Frame& frame) {
-    SweepRequest req;
-    wire::Reader r(frame.payload.data(), frame.payload.size());
-    if (!decode(r, req)) {
-      write_error(fd, "malformed sweep request");
-      return;
-    }
-    std::fprintf(stderr, "hcsimd: sweep '%s' from client\n", req.sweep.c_str());
-    SweepResponse resp;
-    std::string error;
-    CancelLatch cancel(fd);
-    const bool ok = service_.run(
-        req,
-        [&cancel] {
-          // Runs on pool workers: re-establish the daemon fault domain.
-          fault::ScopedDomain domain("daemon");
-          return cancel.check();
-        },
-        resp, error);
-    if (!ok) {
-      std::fprintf(stderr, "hcsimd: sweep '%s' failed: %s\n", req.sweep.c_str(),
-                   error.c_str());
-      write_error(fd, error);
-      return;
-    }
-    std::vector<u8> payload;
-    encode(payload, resp);
-    write_frame(fd, kResult, payload);
   }
 
   /// Returns false when the connection must be dropped (the result stream
@@ -306,7 +178,7 @@ class Daemon {
     SweepService::BatchOutcome outcome;
     std::string error;
     const bool ok = service_.run_jobs(
-        reqs, /*cancelled=*/nullptr,
+        reqs,
         [fd](const JobResponse& resp) {
           // Called from pool workers (serialized): re-establish the daemon
           // fault domain for the result write.
@@ -334,82 +206,8 @@ class Daemon {
     return true;
   }
 
-  void handle_serve_trace(int fd, const Frame& frame) {
-    ServeTraceRequest req;
-    wire::Reader r(frame.payload.data(), frame.payload.size());
-    if (!decode(r, req)) {
-      write_error(fd, "malformed serve-trace request");
-      return;
-    }
-    if (req.version != kProtocolVersion) {
-      write_error(fd, "unsupported protocol version " + std::to_string(req.version));
-      return;
-    }
-    std::string error;
-    if (!shm_path_allowed(req.shm_path, opts_.shm_dir, error)) {
-      write_error(fd, error);
-      return;
-    }
-    if (req.ring_capacity > bus::ShmRing::kMaxCapacity) {
-      write_error(fd, "ring_capacity exceeds the limit");
-      return;
-    }
-    WorkloadProfile profile;
-    if (!resolve_workload(req.workload, profile, error)) {
-      write_error(fd, error);
-      return;
-    }
-    if (req.seed != 0) profile.seed = req.seed;
-    const u64 len = req.trace_len != 0 ? req.trace_len : default_trace_len();
-    const u64 cap = req.ring_capacity != 0 ? req.ring_capacity : (1u << 20);
-
-    auto job = std::make_unique<ServeJob>();
-    job->ring = bus::ShmRing::create(req.shm_path, cap);
-    if (!job->ring.valid()) {
-      write_error(fd, "cannot create shm ring: " + job->ring.error());
-      return;
-    }
-    // RV traces are seedless (the program fully determines them, seed 1 by
-    // the kernel_trace convention); generated traces carry the profile seed.
-    const u64 trace_seed = profile.rv_kernel.empty() ? profile.seed : 1;
-    ServeJob* j = job.get();
-    job->thread = std::thread([j, profile, len, trace_seed] {
-      bus::serve_trace_ranges(j->ring,
-                              sample::workload_stream_factory(profile, len),
-                              trace_seed);
-      j->done.store(true, std::memory_order_release);
-    });
-    serve_jobs_.push_back(std::move(job));
-    std::fprintf(stderr, "hcsimd: serving %s (len %llu) on %s\n",
-                 req.workload.c_str(), static_cast<unsigned long long>(len),
-                 req.shm_path.c_str());
-    write_frame(fd, kServing, {});
-  }
-
-  /// Join serving threads whose consumer departed.
-  void reap_serve_jobs() {
-    for (auto it = serve_jobs_.begin(); it != serve_jobs_.end();) {
-      if ((*it)->done.load(std::memory_order_acquire)) {
-        (*it)->thread.join();
-        it = serve_jobs_.erase(it);  // ~ShmRing unlinks the segment
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  /// Shutdown: force every producer loop to exit, then release the segments.
-  void release_serve_jobs() {
-    for (auto& job : serve_jobs_) job->ring.close_read();
-    for (auto& job : serve_jobs_) {
-      job->thread.join();
-    }
-    serve_jobs_.clear();
-  }
-
   DaemonOptions opts_;
   SweepService service_;
-  std::vector<std::unique_ptr<ServeJob>> serve_jobs_;
 };
 
 }  // namespace

@@ -3,14 +3,13 @@
 // Lifecycle (documented in docs/PROTOCOL.md):
 //   1. bind + listen on a Unix-domain socket (stale socket files are
 //      replaced);
-//   2. accept one connection at a time — sweep jobs are serialized by the
-//      SweepService anyway, and the kernel backlog queues waiting clients;
-//   3. per connection, answer frames until EOF, a framing error, or
-//      `conn_idle_timeout_ms` of silence (semantic errors are answered with
-//      kError and the connection survives);
+//   2. accept one connection at a time; the kernel backlog queues waiting
+//      clients;
+//   3. per connection, answer frames (kRunJobs, kPing, kShutdown) until
+//      EOF, a framing error, or `conn_idle_timeout_ms` of silence (semantic
+//      errors are answered with kError and the connection survives);
 //   4. exit on kShutdown, SIGINT/SIGTERM, or after `idle_timeout_ms` with no
-//      client and no live trace-bus segment. Shutdown unlinks the socket and
-//      closes + unlinks every shm segment the daemon created.
+//      client. Shutdown unlinks the socket.
 #pragma once
 
 #include <string>
@@ -26,10 +25,6 @@ struct DaemonOptions {
   /// Exit after this long with nothing to do; 0 = run until kShutdown or a
   /// signal.
   u64 idle_timeout_ms = 0;
-  /// kServeTrace ring segments must be plain filenames directly inside this
-  /// directory — shm_path is client-controlled, and confining it keeps a
-  /// hostile request from touching anything else the daemon can write.
-  std::string shm_dir = "/dev/shm";
   /// Drop a connection that sends nothing for this long, so one idle client
   /// cannot starve the accept loop (connections are served one at a time).
   /// 0 disables the limit.

@@ -96,98 +96,6 @@ bool write_error(int fd, const std::string& msg) {
   return write_frame(fd, kError, payload);
 }
 
-// --- kSweep -----------------------------------------------------------------
-
-void encode(std::vector<u8>& buf, const SweepRequest& req) {
-  wire::put_u32(buf, req.version);
-  wire::put_string(buf, req.sweep);
-  wire::put_u64(buf, req.trace_len);
-  wire::put_u32(buf, static_cast<u32>(req.seeds.size()));
-  for (u64 s : req.seeds) wire::put_u64(buf, s);
-  wire::put_u8(buf, req.sampled ? 1 : 0);
-  wire::put_u64(buf, req.warmup);
-  wire::put_u64(buf, req.measure);
-  wire::put_u64(buf, req.period);
-  wire::put_u64(buf, req.max_windows);
-  wire::put_u8(buf, req.want_csv ? 1 : 0);
-  wire::put_u8(buf, req.want_json ? 1 : 0);
-}
-
-bool decode(wire::Reader& r, SweepRequest& req) {
-  u32 n_seeds = 0;
-  u8 sampled = 0, want_csv = 0, want_json = 0;
-  if (!r.get_u32(req.version) || !r.get_string(req.sweep, 256) ||
-      !r.get_u64(req.trace_len) || !r.get_u32(n_seeds))
-    return false;
-  if (n_seeds > 4096) return false;  // corrupt count, not a real seed list
-  req.seeds.resize(n_seeds);
-  for (u32 i = 0; i < n_seeds; ++i)
-    if (!r.get_u64(req.seeds[i])) return false;
-  if (!r.get_u8(sampled) || !r.get_u64(req.warmup) || !r.get_u64(req.measure) ||
-      !r.get_u64(req.period) || !r.get_u64(req.max_windows) ||
-      !r.get_u8(want_csv) || !r.get_u8(want_json))
-    return false;
-  req.sampled = sampled != 0;
-  req.want_csv = want_csv != 0;
-  req.want_json = want_json != 0;
-  return r.remaining() == 0;
-}
-
-// --- kResult ----------------------------------------------------------------
-
-void encode(std::vector<u8>& buf, const SweepResponse& resp) {
-  wire::put_string(buf, resp.summary);
-  wire::put_string(buf, resp.csv);
-  wire::put_string(buf, resp.json);
-  wire::put_u64(buf, resp.n_points);
-  wire::put_u32(buf, resp.threads_used);
-  wire::put_u64(buf, resp.wall_ms);
-}
-
-bool decode(wire::Reader& r, SweepResponse& resp) {
-  if (!r.get_string(resp.summary, kMaxResponseFrame) ||
-      !r.get_string(resp.csv, kMaxResponseFrame) ||
-      !r.get_string(resp.json, kMaxResponseFrame) || !r.get_u64(resp.n_points) ||
-      !r.get_u32(resp.threads_used) || !r.get_u64(resp.wall_ms))
-    return false;
-  return r.remaining() == 0;
-}
-
-// --- kServeTrace ------------------------------------------------------------
-
-void encode(std::vector<u8>& buf, const ServeTraceRequest& req) {
-  wire::put_u32(buf, req.version);
-  wire::put_string(buf, req.shm_path);
-  wire::put_u64(buf, req.ring_capacity);
-  wire::put_string(buf, req.workload);
-  wire::put_u64(buf, req.seed);
-  wire::put_u64(buf, req.trace_len);
-}
-
-bool decode(wire::Reader& r, ServeTraceRequest& req) {
-  if (!r.get_u32(req.version) || !r.get_string(req.shm_path, 4096) ||
-      !r.get_u64(req.ring_capacity) || !r.get_string(req.workload, 256) ||
-      !r.get_u64(req.seed) || !r.get_u64(req.trace_len))
-    return false;
-  return r.remaining() == 0;
-}
-
-// --- kSweepList -------------------------------------------------------------
-
-void encode_sweep_list(std::vector<u8>& buf, const std::vector<std::string>& names) {
-  wire::put_u32(buf, static_cast<u32>(names.size()));
-  for (const std::string& n : names) wire::put_string(buf, n);
-}
-
-bool decode_sweep_list(wire::Reader& r, std::vector<std::string>& names) {
-  u32 n = 0;
-  if (!r.get_u32(n) || n > 4096) return false;
-  names.resize(n);
-  for (u32 i = 0; i < n; ++i)
-    if (!r.get_string(names[i], 256)) return false;
-  return r.remaining() == 0;
-}
-
 // --- value codecs -----------------------------------------------------------
 // Declaration order of each struct is encoding order. These feed job_id()
 // hashing and the on-disk journal, so the order is part of the format.
@@ -448,6 +356,16 @@ u64 job_id(const JobRequest& req) {
   mix(kTag, sizeof(kTag) - 1);
   mix(body.data(), body.size());
   return h;
+}
+
+std::string sample_spec_of(const JobRequest& req, sample::SampleSpec& spec) {
+  spec = sample::SampleSpec{};
+  if (!req.sampled) return "";
+  spec.warmup = req.warmup != 0 ? req.warmup : sample::kDefaultWarmup;
+  spec.measure = req.measure != 0 ? req.measure : sample::kDefaultMeasure;
+  spec.period = req.period;
+  spec.max_windows = req.max_windows;
+  return sample::spec_error(spec);
 }
 
 void encode(std::vector<u8>& buf, const JobResponse& resp) {

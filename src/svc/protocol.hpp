@@ -6,12 +6,13 @@
 //
 // `len` counts the type byte plus the payload, so len >= 1. Payloads use
 // the trace/wire.hpp packing (little-endian, length-prefixed strings), the
-// same encoding the trace bus and the v3 trace files use. The full schema
-// lives in docs/PROTOCOL.md.
+// same encoding the v3 trace files use. The full schema lives in
+// docs/PROTOCOL.md.
 //
 // Error handling contract (the daemon must survive hostile clients):
-//   - semantic errors (unknown sweep, undecodable payload, unsupported
-//     version) get a kError reply and the connection stays usable;
+//   - semantic errors (undecodable payload, unsupported version, a job the
+//     model cannot run, an unknown frame type) get a kError reply and the
+//     connection stays usable;
 //   - framing errors (oversized or short frames) poison the byte stream,
 //     so the daemon closes the connection — but never exits.
 #pragma once
@@ -21,6 +22,7 @@
 
 #include "core/machine_config.hpp"
 #include "core/sim_result.hpp"
+#include "sample/spec.hpp"
 #include "trace/wire.hpp"
 #include "util/types.hpp"
 #include "wload/profile.hpp"
@@ -29,29 +31,27 @@ namespace hcsim::svc {
 
 inline constexpr u32 kProtocolVersion = 1;
 
-/// Client -> daemon frames are small (requests carry names and scalars).
+/// Client -> daemon frames are small (a batch of job requests).
 inline constexpr u32 kMaxRequestFrame = 1u << 16;
-/// Daemon -> client frames carry whole CSV/JSON reports.
+/// Daemon -> client frames carry one job result or an error message, a few
+/// KiB; the cap bounds what a corrupt length prefix can make a client
+/// allocate.
 inline constexpr u32 kMaxResponseFrame = 1u << 26;
 
+/// Frame numbers are stable: the types no longer served (0x01, 0x02, 0x04,
+/// 0x06 and their replies) stay unassigned, and the daemon answers them
+/// with kError "unknown frame type".
 enum FrameType : u8 {
   // client -> daemon
-  kSweep = 0x01,       // SweepRequest; answered with kResult or kError
-  kListSweeps = 0x02,  // answered with kSweepList
-  kPing = 0x03,        // answered with kPong (liveness probe)
-  kCancel = 0x04,      // cancel the in-flight job (no reply of its own)
-  kShutdown = 0x05,    // answered with kBye, then the daemon exits
-  kServeTrace = 0x06,  // ServeTraceRequest; answered with kServing or kError
-  kRunJobs = 0x07,     // u32 n + n JobRequests; answered with a kJobResult
-                       // stream (completion order) closed by kJobsDone
+  kPing = 0x03,      // answered with kPong (liveness probe)
+  kShutdown = 0x05,  // answered with kBye, then the daemon exits
+  kRunJobs = 0x07,   // u32 n + n JobRequests; answered with a kJobResult
+                     // stream (completion order) closed by kJobsDone
 
   // daemon -> client
-  kResult = 0x81,     // SweepResponse
-  kSweepList = 0x82,  // u32 n, then n strings
   kPong = 0x83,
   kBye = 0x84,
-  kError = 0x85,    // string message
-  kServing = 0x86,  // trace bus is up on the requested shm path
+  kError = 0x85,      // string message
   kJobResult = 0x87,  // JobResponse (one per job, any order)
   kJobsDone = 0x88,   // u64 jobs completed, u64 journal hits in the batch
 };
@@ -76,64 +76,6 @@ bool write_frame(int fd, u8 type, const std::vector<u8>& payload,
 /// Convenience: kError frame with a message.
 bool write_error(int fd, const std::string& msg);
 
-// --- kSweep -----------------------------------------------------------------
-
-/// One sweep job. Zero/empty fields mean "the sweep's own default", exactly
-/// like the corresponding hcsim_sweep flags.
-struct SweepRequest {
-  u32 version = kProtocolVersion;
-  std::string sweep;       // registry name (fig06, smoke, ...)
-  u64 trace_len = 0;       // 0 = spec default
-  std::vector<u64> seeds;  // empty = spec default
-  bool sampled = false;    // warm-up/measure windowed simulation
-  u64 warmup = 0;          // sample spec (meaningful when sampled)
-  u64 measure = 0;
-  u64 period = 0;
-  u64 max_windows = 0;
-  bool want_csv = false;
-  bool want_json = false;
-};
-
-void encode(std::vector<u8>& buf, const SweepRequest& req);
-bool decode(wire::Reader& r, SweepRequest& req);
-
-// --- kResult ----------------------------------------------------------------
-
-struct SweepResponse {
-  std::string summary;  // exp::render_summary text
-  std::string csv;      // empty unless requested; byte-identical to to_csv
-  std::string json;     // empty unless requested
-  u64 n_points = 0;
-  u32 threads_used = 1;
-  u64 wall_ms = 0;
-};
-
-void encode(std::vector<u8>& buf, const SweepResponse& resp);
-bool decode(wire::Reader& r, SweepResponse& resp);
-
-// --- kServeTrace ------------------------------------------------------------
-
-/// Ask the daemon to host a trace-bus producer: it creates a ShmRing at
-/// `shm_path` and runs serve_trace_ranges on it until the consumer departs
-/// (or the daemon shuts down — idle shutdown closes and unlinks every
-/// segment it owns).
-struct ServeTraceRequest {
-  u32 version = kProtocolVersion;
-  std::string shm_path;
-  u64 ring_capacity = 0;  // 0 = default (1 MiB)
-  std::string workload;   // "rv:<kernel>" or a SPEC profile name
-  u64 seed = 0;           // 0 = profile's own seed
-  u64 trace_len = 0;      // 0 = default_trace_len()
-};
-
-void encode(std::vector<u8>& buf, const ServeTraceRequest& req);
-bool decode(wire::Reader& r, ServeTraceRequest& req);
-
-// --- kSweepList -------------------------------------------------------------
-
-void encode_sweep_list(std::vector<u8>& buf, const std::vector<std::string>& names);
-bool decode_sweep_list(wire::Reader& r, std::vector<std::string>& names);
-
 // --- value codecs (kRunJobs payloads + the job journal) ---------------------
 // Canonical little-endian encodings of the simulation inputs and outputs.
 // Field order is part of the format: job ids are content hashes over these
@@ -153,18 +95,17 @@ bool decode(wire::Reader& r, SimResult& result);
 
 // --- kRunJobs ---------------------------------------------------------------
 
-/// One simulation job, fully self-contained: unlike kSweep (which names a
-/// registry entry), the request carries the machine config, the workload
-/// profile and the sampling window spec, so any daemon computes the same
-/// result regardless of its local registry — the property that makes jobs
+/// One simulation job, fully self-contained: the request carries the
+/// machine config, the workload profile and the sampling window spec, so
+/// any daemon computes the same result — the property that makes jobs
 /// journal-addressable and re-submittable anywhere.
 struct JobRequest {
   u32 version = kProtocolVersion;
   MachineConfig config;
   WorkloadProfile profile;
   u64 n_records = 0;  // resolved trace length (never 0 on the wire)
-  // Sampling window spec; all jobs of one kRunJobs batch must agree (the
-  // active spec is process-global on the daemon).
+  // Sampling window spec (see sample_spec_of); each job carries its own, so
+  // one batch may mix specs.
   bool sampled = false;
   u64 warmup = 0;
   u64 measure = 0;
@@ -181,6 +122,13 @@ bool decode(wire::Reader& r, JobRequest& req);
 /// would simulate the same point compute the same id, which is what lets a
 /// restarted daemon or client recognise already-journaled work.
 u64 job_id(const JobRequest& req);
+
+/// The sample spec `req` asks for, resolved into `spec`: disabled unless
+/// `sampled`, and a zero warmup or measure means the default. Returns
+/// sample::spec_error's message for a spec no run may use (the job is then
+/// refused), else "". The daemon and run_sweep_ft's local fallback both
+/// resolve jobs here, so they run identical windows.
+std::string sample_spec_of(const JobRequest& req, sample::SampleSpec& spec);
 
 struct JobResponse {
   u64 job_id = 0;

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -78,21 +78,18 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
     if (opts.log) opts.log(msg);
   };
 
-  // Resolve the sample spec up front with the same defaulting the daemon
-  // applies, so the local fallback and the remote path run identical windows.
+  // Every job carries the sweep's sample spec. Resolve it the way the
+  // daemon resolves each job, so the local fallback and the remote path run
+  // identical windows, and refuse a spec the daemon would refuse.
+  JobRequest proto;
+  proto.sampled = opts.sampled;
+  proto.warmup = opts.warmup;
+  proto.measure = opts.measure;
+  proto.period = opts.period;
+  proto.max_windows = opts.max_windows;
   sample::SampleSpec sample_spec;
-  if (opts.sampled) {
-    sample_spec.warmup = opts.warmup != 0 ? opts.warmup : sample::kDefaultWarmup;
-    sample_spec.measure =
-        opts.measure != 0 ? opts.measure : sample::kDefaultMeasure;
-    sample_spec.period = opts.period;
-    sample_spec.max_windows = opts.max_windows;
-    if (sample_spec.period != 0 &&
-        sample_spec.period < sample_spec.warmup + sample_spec.measure) {
-      error = "sample period smaller than warmup + measure";
-      return FtStatus::kBadSpec;
-    }
-  }
+  error = sample_spec_of(proto, sample_spec);
+  if (!error.empty()) return FtStatus::kBadSpec;
 
   const std::vector<exp::ExperimentPoint> points = exp::expand(spec);
   if (points.empty()) {
@@ -104,12 +101,6 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
   // one baseline job per (workload, seed, len) cell plus one job per point.
   // Jobs are deduplicated by id — a variant whose machine equals the
   // baseline collapses onto the cell job.
-  JobRequest proto;
-  proto.sampled = opts.sampled;
-  proto.warmup = opts.warmup;
-  proto.measure = opts.measure;
-  proto.period = opts.period;
-  proto.max_windows = opts.max_windows;
 
   std::vector<JobRequest> jobs;        // unique, stable submission order
   std::unordered_map<u64, u32> job_of;  // id -> index in `jobs`
@@ -269,28 +260,15 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
       logf("daemon unreachable; computing " + std::to_string(pending.size()) +
            " remaining job(s) in-process");
 
-    sample::set_active_sample_spec(sample_spec);
-    const auto run_one = [&](const JobRequest& req) {
-      record(job_id(req), simulate_workload(req.config, req.profile, req.n_records),
-             Source::kLocal);
-    };
-    if (threads <= 1) {
-      for (const JobRequest& req : pending) run_one(req);
-    } else {
-      exp::ThreadPool pool(threads);
-      std::mutex mu;
-      std::condition_variable cv;
-      std::size_t left = pending.size();
-      for (const JobRequest& req : pending)
-        pool.submit([&, &req = req] {
-          run_one(req);
-          std::lock_guard<std::mutex> lock(mu);
-          if (--left == 0) cv.notify_all();
-        });
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&left] { return left == 0; });
-    }
-    sample::set_active_sample_spec(sample::SampleSpec{});
+    std::vector<std::function<void()>> local;
+    local.reserve(pending.size());
+    for (const JobRequest& req : pending)
+      local.push_back([&, &req = req] {
+        record(job_id(req),
+               simulate_workload(req.config, req.profile, req.n_records, sample_spec),
+               Source::kLocal);
+      });
+    exp::run_batch(local, threads, nullptr);
   }
 
   // --- assemble the SweepResult in grid order -----------------------------

@@ -2,15 +2,12 @@
 
 #include <sys/stat.h>
 
-#include <chrono>
-#include <condition_variable>
+#include <algorithm>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 
 #include "core/machine_config.hpp"
-#include "exp/report.hpp"
-#include "exp/sweep.hpp"
-#include "rv/kernels.hpp"
 #include "sample/spec.hpp"
 #include "sim/simulator.hpp"
 #include "util/faultpoint.hpp"
@@ -26,80 +23,13 @@ SweepService::SweepService(unsigned threads, const std::string& journal_dir)
     journal_error_ = journal_.error();
 }
 
-bool SweepService::run(const SweepRequest& req,
-                       const std::function<bool()>& cancelled, SweepResponse& resp,
-                       std::string& error) {
-  if (req.version != kProtocolVersion) {
-    error = "unsupported protocol version " + std::to_string(req.version);
-    return false;
-  }
-  auto spec = exp::find_sweep(req.sweep);
-  if (!spec) {
-    error = "unknown sweep '" + req.sweep + "'";
-    return false;
-  }
-  if (req.trace_len != 0) spec->trace_lens = {req.trace_len};
-  if (!req.seeds.empty()) {
-    for (u64 s : req.seeds)
-      if (s == 0) {
-        error = "seed 0 is not a valid explicit seed";
-        return false;
-      }
-    spec->seeds = req.seeds;
-  }
-
-  // Assemble the sample spec with the same non-fatal checks SampleSpec::
-  // validate() enforces fatally — a malformed request must not abort hcsimd.
-  sample::SampleSpec sample_spec;
-  if (req.sampled) {
-    sample_spec.warmup = req.warmup != 0 ? req.warmup : sample::kDefaultWarmup;
-    sample_spec.measure = req.measure != 0 ? req.measure : sample::kDefaultMeasure;
-    sample_spec.period = req.period;
-    sample_spec.max_windows = req.max_windows;
-    if (sample_spec.period != 0 &&
-        sample_spec.period < sample_spec.warmup + sample_spec.measure) {
-      error = "sample period smaller than warmup + measure";
-      return false;
-    }
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  exp::SweepResult result;
-  {
-    std::lock_guard<std::mutex> job(job_mu_);
-    sample::set_active_sample_spec(sample_spec);
-    exp::RunOptions opts;
-    opts.pool = &pool_;
-    opts.cancelled = cancelled;
-    result = exp::run_sweep(*spec, opts);
-    sample::set_active_sample_spec(sample::SampleSpec{});
-  }
-  if (result.cancelled) {
-    error = "cancelled";
-    return false;
-  }
-
-  resp.summary = exp::render_summary(result);
-  if (req.want_csv) resp.csv = exp::to_csv(result);
-  if (req.want_json) resp.json = exp::to_json(result);
-  resp.n_points = result.points.size();
-  resp.threads_used = result.threads_used;
-  resp.wall_ms = static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  return true;
-}
-
 bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
-                            const std::function<bool()>& cancelled,
                             const std::function<bool(const JobResponse&)>& on_result,
                             BatchOutcome& outcome, std::string& error) {
   outcome = BatchOutcome{};
-  if (reqs.empty()) return true;
-
-  const JobRequest& first = reqs.front();
-  for (const JobRequest& req : reqs) {
+  std::vector<sample::SampleSpec> specs(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const JobRequest& req = reqs[i];
     if (req.version != kProtocolVersion) {
       error = "unsupported protocol version " + std::to_string(req.version);
       return false;
@@ -112,47 +42,20 @@ bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
       error = "job with an unrunnable machine config: " + bad;
       return false;
     }
-    // The active sample spec is process-global, so one batch = one spec.
-    if (req.sampled != first.sampled || req.warmup != first.warmup ||
-        req.measure != first.measure || req.period != first.period ||
-        req.max_windows != first.max_windows) {
-      error = "mixed sample specs in one job batch";
+    if (const std::string bad = sample_spec_of(req, specs[i]); !bad.empty()) {
+      error = "job with a bad sample spec: " + bad;
       return false;
     }
   }
 
-  sample::SampleSpec sample_spec;
-  if (first.sampled) {
-    sample_spec.warmup = first.warmup != 0 ? first.warmup : sample::kDefaultWarmup;
-    sample_spec.measure = first.measure != 0 ? first.measure : sample::kDefaultMeasure;
-    sample_spec.period = first.period;
-    sample_spec.max_windows = first.max_windows;
-    if (sample_spec.period != 0 &&
-        sample_spec.period < sample_spec.warmup + sample_spec.measure) {
-      error = "sample period smaller than warmup + measure";
-      return false;
-    }
-  }
-
-  std::lock_guard<std::mutex> job(job_mu_);
-  sample::set_active_sample_spec(sample_spec);
-
-  // Per-batch latch (the pool is shared); `mu` also serializes on_result and
-  // the outcome counters.
+  // `mu` serializes on_result and the outcome counters within the batch.
   std::mutex mu;
-  std::condition_variable cv;
-  std::size_t left = reqs.size();
   bool stream_ok = true;
-  bool batch_cancelled = false;
-
-  for (const JobRequest& req : reqs) {
-    pool_.submit([&, &req = req] {
-      if (cancelled && cancelled()) {
-        std::lock_guard<std::mutex> lock(mu);
-        batch_cancelled = true;
-        if (--left == 0) cv.notify_all();
-        return;
-      }
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    jobs.push_back([&, i] {
+      const JobRequest& req = reqs[i];
       JobResponse resp;
       resp.job_id = job_id(req);
       const bool journaled = journal_.lookup(resp.job_id, resp.result);
@@ -161,57 +64,26 @@ bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
         // The crash the journal exists to survive: abort() between jobs, at
         // a deterministic index, with everything before it already durable.
         if (fault::enabled() && fault::fire("job.abort")) std::abort();
-        resp.result = simulate_workload(req.config, req.profile, req.n_records);
+        resp.result = simulate_workload(req.config, req.profile, req.n_records, specs[i]);
         journal_.append(resp.job_id, resp.result);
       }
       std::lock_guard<std::mutex> lock(mu);
       // A dead stream stops sending but NOT simulating: the remainder keeps
       // landing in the journal, so the client's re-submission after
       // reconnect is served as pure journal hits.
-      if (stream_ok) {
-        if (on_result(resp)) {
-          ++outcome.completed;
-          if (resp.from_journal) ++outcome.journal_hits;
-        } else {
-          stream_ok = false;
-        }
+      if (!stream_ok) return;
+      if (on_result(resp)) {
+        ++outcome.completed;
+        if (resp.from_journal) ++outcome.journal_hits;
+      } else {
+        stream_ok = false;
       }
-      if (--left == 0) cv.notify_all();
     });
-  }
+  exp::run_batch(jobs, pool_.size(), &pool_);
 
-  bool ok;
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&left] { return left == 0; });
-    ok = stream_ok && !batch_cancelled;
-    outcome.stream_lost = !stream_ok;
-    if (batch_cancelled) error = "cancelled";
-    else if (!stream_ok) error = "client connection lost mid-batch";
-  }
-  sample::set_active_sample_spec(sample::SampleSpec{});
-  return ok;
-}
-
-bool resolve_workload(const std::string& name, WorkloadProfile& out,
-                      std::string& error) {
-  if (name.rfind("rv:", 0) == 0) {
-    const std::string kernel = name.substr(3);
-    if (!rv::find_kernel(kernel)) {
-      error = "unknown rv kernel '" + kernel + "'";
-      return false;
-    }
-    out = rv::rv_workload_profile(kernel);
-    return true;
-  }
-  for (const WorkloadProfile& p : spec_int_2000_profiles()) {
-    if (p.name == name) {
-      out = p;
-      return true;
-    }
-  }
-  error = "unknown workload '" + name + "' (use \"rv:<kernel>\" or a SPEC name)";
-  return false;
+  outcome.stream_lost = !stream_ok;
+  if (!stream_ok) error = "client connection lost mid-batch";
+  return stream_ok;
 }
 
 }  // namespace hcsim::svc

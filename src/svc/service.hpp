@@ -1,17 +1,16 @@
-// hcsim — the sweep engine behind hcsimd.
+// hcsim — the job engine behind hcsimd.
 //
 // One SweepService lives for the daemon's lifetime: it owns the process-wide
-// exp::ThreadPool every job runs on, and serializes jobs (one sweep at a
-// time, parallel *within* the sweep). Serialization is not a convenience —
-// the active sample spec and the cached-trace store are process-global, so
-// two concurrent sweeps with different sampling schedules would race. The
-// payoff of the persistent process is exactly those globals staying warm:
-// a repeated (workload, seed, len) cell reuses the cached trace instead of
-// regenerating it.
+// exp::ThreadPool every job runs on and the daemon's job journal. A job's
+// result is a function of its JobRequest alone — config, profile, length
+// and its own sample spec — so batches need no lock around them: several
+// batches may share the pool at once, and one batch may mix sample specs.
+// The payoff of the persistent process is the cached-trace store staying
+// warm: a repeated (workload, seed, len) cell reuses the cached trace
+// instead of regenerating it.
 #pragma once
 
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,13 +29,6 @@ class SweepService {
   /// service still runs, just without durability).
   explicit SweepService(unsigned threads, const std::string& journal_dir = "");
 
-  /// Validate and run one request. `cancelled` is polled between points;
-  /// a cancelled run returns false with error "cancelled". Returns false
-  /// with a diagnostic for unknown sweeps, bad versions, or inconsistent
-  /// sampling parameters — never aborts on request content.
-  bool run(const SweepRequest& req, const std::function<bool()>& cancelled,
-           SweepResponse& resp, std::string& error);
-
   /// How one kRunJobs batch went.
   struct BatchOutcome {
     u64 completed = 0;
@@ -46,19 +38,20 @@ class SweepService {
     bool stream_lost = false;
   };
 
-  /// Run a batch of self-contained jobs on the pool. Journaled jobs are
-  /// served from the journal (from_journal set); fresh results are appended
-  /// to it before `on_result` streams them out. `on_result` is called from
-  /// pool workers but serialized (never concurrently); returning false
+  /// Run a batch of self-contained jobs on the pool, each under its own
+  /// sample spec (sample_spec_of). Journaled jobs are served from the
+  /// journal (from_journal set); fresh results are appended to it before
+  /// `on_result` streams them out. `on_result` is called from pool workers
+  /// but serialized within the batch (never concurrently); returning false
   /// (client gone) stops the stream — remaining jobs still simulate and
-  /// journal, so the work survives for the re-submission. Returns false
-  /// with a diagnostic on bad versions, mixed sample specs, a machine config
-  /// the model cannot run (machine_config_error; checked for every job
-  /// before any simulates), cancellation, or a dead result stream. Fault
-  /// point: "job.abort" fires before each fresh simulation and abort()s the
-  /// process — the crash the journal exists to survive.
+  /// journal, so the work survives for the re-submission. Safe to call
+  /// from several threads at once. Returns false with a diagnostic on bad
+  /// versions, a zero n_records, a sample spec sample::spec_error refuses,
+  /// a machine config the model cannot run (machine_config_error) — all
+  /// checked for every job before any simulates — or a dead result stream.
+  /// Fault point: "job.abort" fires before each fresh simulation and
+  /// abort()s the process — the crash the journal exists to survive.
   bool run_jobs(const std::vector<JobRequest>& reqs,
-                const std::function<bool()>& cancelled,
                 const std::function<bool(const JobResponse&)>& on_result,
                 BatchOutcome& outcome, std::string& error);
 
@@ -70,14 +63,8 @@ class SweepService {
 
  private:
   exp::ThreadPool pool_;
-  std::mutex job_mu_;  // one sweep/batch at a time (global sample spec + cache)
   Journal journal_;
   std::string journal_error_;
 };
-
-/// Resolve a ServeTraceRequest workload: "rv:<kernel>" or a SPEC profile
-/// name. Returns false with a diagnostic on unknown names.
-bool resolve_workload(const std::string& name, WorkloadProfile& out,
-                      std::string& error);
 
 }  // namespace hcsim::svc

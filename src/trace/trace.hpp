@@ -19,7 +19,7 @@
 namespace hcsim {
 
 /// Shared chunk geometry: records per TraceCursor chunk. One constant so the
-/// pull cursors (wload/executor.hpp), the shm trace bus (bus/trace_bus.hpp)
+/// pull cursors (wload/executor.hpp), the streamed RV feed (sim/simulator)
 /// and the pipeline's SoA batches cannot drift apart.
 inline constexpr std::size_t kTraceChunkRecords = std::size_t{1} << 16;
 

@@ -11,7 +11,7 @@ namespace {
 
 constexpr u32 kMagic = 0x48435452;  // "HCTR"
 // v3: records and µops are serialized field by field (tightly packed) via
-// trace/wire.hpp — the same encoding the shared-memory trace bus carries.
+// trace/wire.hpp — the same packing the hcsimd protocol uses.
 // v2 wrote whole structs, which leaked uninitialized padding bytes into the
 // file — same trace, different bytes across runs.
 constexpr u32 kVersion = 3;

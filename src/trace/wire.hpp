@@ -1,11 +1,12 @@
 // hcsim — buffer-level v3 trace wire format.
 //
-// One packed encoding of programs and trace records, shared by the file
-// serializer (trace_io.cpp) and the shared-memory trace bus (src/bus): every
-// field is written individually in little-endian order, so the bytes carry
-// no struct padding and are identical across builds and processes. The
-// Reader side is bounds-checked and validating — a truncated or corrupt
-// buffer yields `false`, never an out-of-range read or a poisoned Program.
+// One packed encoding of programs and trace records for the file
+// serializer (trace_io.cpp), whose integer and string packing the hcsimd
+// protocol (src/svc) shares: every field is written individually in
+// little-endian order, so the bytes carry no struct padding and are
+// identical across builds and processes. The Reader side is bounds-checked
+// and validating — a truncated or corrupt buffer yields `false`, never an
+// out-of-range read or a poisoned Program.
 #pragma once
 
 #include <cstring>

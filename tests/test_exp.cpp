@@ -208,8 +208,8 @@ TEST(Runner, CellPassMatchesPerPointRuns) {
       for (const ExperimentPoint& p : expand(spec)) {
         PointResult pr;
         pr.point = p;
-        pr.baseline = simulate_workload(spec.baseline, p.profile, p.n_records);
-        pr.sim = simulate_workload(p.variant.machine, p.profile, p.n_records);
+        pr.baseline = simulate_workload(spec.baseline, p.profile, p.n_records, active);
+        pr.sim = simulate_workload(p.variant.machine, p.profile, p.n_records, active);
         pr.power_baseline = analyze_power(pr.baseline, spec.baseline);
         pr.power_sim = analyze_power(pr.sim, p.variant.machine);
         per_point.points.push_back(std::move(pr));

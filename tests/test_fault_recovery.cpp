@@ -24,12 +24,12 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "rv/kernels.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
 #include "svc/protocol.hpp"
 #include "svc/remote_sweep.hpp"
-#include "svc/service.hpp"
 #include "util/faultpoint.hpp"
 
 namespace hcsim::svc {
@@ -99,8 +99,7 @@ class FaultRecoveryTest : public ::testing::Test {
 JobRequest small_job(u64 n_records) {
   JobRequest req;
   req.config = exp::SweepSpec().baseline;
-  std::string error;
-  EXPECT_TRUE(resolve_workload("rv:crc32", req.profile, error)) << error;
+  req.profile = rv::rv_workload_profile("crc32");
   req.n_records = n_records;
   return req;
 }
@@ -149,7 +148,7 @@ TEST(Protocol, JobResponseAndJobsDoneRoundTrip) {
   resp.job_id = 0xDEADBEEFCAFEF00DULL;
   resp.from_journal = true;
   resp.result = simulate_workload(exp::SweepSpec().baseline,
-                                  small_job(1500).profile, 1500);
+                                  small_job(1500).profile, 1500, sample::SampleSpec{});
   std::vector<u8> buf;
   encode(buf, resp);
   wire::Reader r(buf.data(), buf.size());

@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "exp/sweep.hpp"
+#include "rv/kernels.hpp"
 #include "sim/simulator.hpp"
 #include "svc/journal.hpp"
 #include "svc/protocol.hpp"
-#include "svc/service.hpp"
 #include "trace/wire.hpp"
 #include "util/faultpoint.hpp"
 
@@ -46,10 +46,8 @@ void write_file(const std::string& path, const std::vector<u8>& bytes) {
 /// A real (tiny) simulation result — journal payloads should exercise the
 /// full SimResult codec, histogram and counters included.
 SimResult tiny_result(u64 n_records) {
-  WorkloadProfile profile;
-  std::string error;
-  EXPECT_TRUE(resolve_workload("rv:crc32", profile, error)) << error;
-  return simulate_workload(exp::SweepSpec().baseline, profile, n_records);
+  return simulate_workload(exp::SweepSpec().baseline, rv::rv_workload_profile("crc32"),
+                           n_records, sample::SampleSpec{});
 }
 
 std::vector<u8> encoded(const SimResult& r) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -155,6 +156,25 @@ TEST(SampleSpec, ValidateRejectsOverlappingPeriod) {
   EXPECT_DEATH({ bad.validate(); }, "period must be 0");
 }
 
+TEST(SampleSpec, SpecErrorNamesTheFirstBrokenRule) {
+  const u64 max = std::numeric_limits<u64>::max();
+  // warmup + measure wraps to 0: an auto period over 19 µops would be 0.
+  const SampleSpec overflow{/*warmup=*/1, /*measure=*/max, /*period=*/0};
+  EXPECT_NE(spec_error(overflow).find("overflows"), std::string::npos);
+  EXPECT_DEATH({ overflow.validate(); }, "overflows");
+  EXPECT_DEATH({ (void)plan_windows(overflow, 19); }, "overflows");
+  // Both rules broken: the overflow is named first.
+  EXPECT_NE(spec_error(SampleSpec{max, 1, 10}).find("overflows"), std::string::npos);
+
+  const SampleSpec overlap{/*warmup=*/100, /*measure=*/200, /*period=*/250};
+  EXPECT_NE(spec_error(overlap).find("period"), std::string::npos);
+
+  EXPECT_EQ(spec_error(SampleSpec{100, 200, 300}), "");
+  EXPECT_EQ(spec_error(SampleSpec{100, 200, 0}), "");
+  EXPECT_EQ(spec_error(SampleSpec{1, max - 1, 0}), "");  // the sum is max: fits
+  EXPECT_EQ(spec_error(SampleSpec{max, 0, 10}), "");     // disabled
+}
+
 TEST(SampleSpec, Describe) {
   const SampleSpec spec{/*warmup=*/100, /*measure=*/200, /*period=*/0};
   EXPECT_NE(spec.describe().find("warmup=100"), std::string::npos);
@@ -283,15 +303,14 @@ TEST(Windowed, RvKernelStreamEndsWhereKernelTraceEnds) {
     ASSERT_EQ(streamed[i].result, trace.records[i].result) << "record " << i;
     ASSERT_EQ(streamed[i].mem_addr, trace.records[i].mem_addr) << "record " << i;
   }
-  // Rewinding to a checkpoint taken before the cut replays up to it again.
+  // A stream that seeks past its start and then continues stops at the
+  // same cut.
   const std::unique_ptr<RecordStream> stream = workload_stream_factory(prof, 12000)();
   u64 fed = 0;
   const auto count = [&fed](const TraceRecord&) { ++fed; };
-  stream->feed_range(3000, 4000, count);  // checkpoints the cursor at 3000
+  stream->feed_range(3000, 4000, count);
   stream->feed_range(4000, 12000, count);
-  ASSERT_TRUE(stream->try_rewind(3000));
-  stream->feed_range(3000, 12000, count);
-  EXPECT_EQ(fed, 2 * (trace.records.size() - 3000));
+  EXPECT_EQ(fed, trace.records.size() - 3000);
 
   SampleSpec spec;
   spec.warmup = 500;
@@ -449,7 +468,8 @@ TEST(MultiConfig, DisabledSpecMatchesSimulateWorkload) {
     for (std::size_t k = 0; k < cfgs.size(); ++k) {
       SCOPED_TRACE("config " + std::to_string(k));
       EXPECT_FALSE(pass[k].sampled);
-      expect_identical(pass[k].total, simulate_workload(cfgs[k], prof, 20000));
+      expect_identical(pass[k].total,
+                       simulate_workload(cfgs[k], prof, 20000, SampleSpec{}));
     }
   };
   {
@@ -469,13 +489,31 @@ TEST(MultiConfig, DisabledSpecMatchesSimulateWorkload) {
 
 // --- sampling through simulate_workload -------------------------------------
 
-TEST(Windowed, ActiveSpecRoutesSimulateWorkload) {
+TEST(Windowed, SpecArgumentRoutesSimulateWorkload) {
+  // The spec argument alone decides: the active spec is not consulted.
   const WorkloadProfile& prof = spec_profile("parser");
   const MachineConfig cfg = helper_machine(steering_ir());
   set_active_sample_spec(test_spec());
-  const SimResult via_workload = simulate_workload(cfg, prof, kLen);
+  const SimResult full = simulate_workload(cfg, prof, kLen, SampleSpec{});
   set_active_sample_spec(SampleSpec{});  // restore: sampling off
-  expect_identical(via_workload, simulate_sampled(cfg, prof, kLen, test_spec()).total);
+  expect_identical(full, simulate(cfg, cached_trace(prof, kLen)));
+  expect_identical(simulate_workload(cfg, prof, kLen, test_spec()),
+                   simulate_sampled(cfg, prof, kLen, test_spec()).total);
+}
+
+TEST(Windowed, ActiveSpecRoutesRunApp) {
+  // The figure benches sample through HCSIM_SAMPLE_*: run_app reads the
+  // active spec and runs both of its machines under it.
+  const WorkloadProfile& prof = spec_profile("parser");
+  set_active_sample_spec(test_spec());
+  const AppRun run = run_app(prof, steering_ir(), kLen);
+  set_active_sample_spec(SampleSpec{});  // restore: sampling off
+  const MachineConfig base = monolithic_baseline();
+  const MachineConfig helper = helper_machine(steering_ir());
+  expect_identical(run.baseline, simulate_sampled(base, prof, kLen, test_spec()).total);
+  expect_identical(run.helper, simulate_sampled(helper, prof, kLen, test_spec()).total);
+  expect_identical(run_app(prof, steering_ir(), kLen).helper,
+                   simulate(helper, cached_trace(prof, kLen)));
 }
 
 // --- sampled-vs-full accuracy -----------------------------------------------

@@ -129,7 +129,7 @@ TEST(Streaming, SimulateWorkloadRoutesByThreshold) {
   // the streaming equivalence above makes the two branches interchangeable.
   const WorkloadProfile& prof = spec_profile("mcf");
   const MachineConfig cfg = monolithic_baseline();
-  expect_same_result(simulate_workload(cfg, prof, kLen),
+  expect_same_result(simulate_workload(cfg, prof, kLen, sample::SampleSpec{}),
                      simulate(cfg, cached_trace(prof, kLen)));
 }
 
@@ -146,7 +146,7 @@ TEST(Streaming, ThresholdBoundaryIsInvisible) {
   const WorkloadProfile& prof = spec_profile("twolf");
   const MachineConfig cfg = helper_machine(steering_ir());
   for (u64 len : {u64{999}, u64{1000}, u64{1001}}) {
-    const SimResult routed = simulate_workload(cfg, prof, len);
+    const SimResult routed = simulate_workload(cfg, prof, len, sample::SampleSpec{});
     const SimResult materialized = simulate(cfg, cached_trace(prof, len));
     expect_same_result(materialized, routed);
   }

@@ -1,12 +1,14 @@
-// Tests for binary trace serialization.
+// Tests for binary trace serialization and its little-endian wire packing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <vector>
 
 #include "trace/trace.hpp"
+#include "trace/wire.hpp"
 #include "wload/executor.hpp"
 #include "wload/profile.hpp"
 
@@ -125,6 +127,23 @@ TEST(TraceIo, EmptyRecordsAllowed) {
   EXPECT_TRUE(loaded.records.empty());
   EXPECT_EQ(loaded.program.uops.size(), t.program.uops.size());
   std::remove(path.c_str());
+}
+
+TEST(Wire, IntegersAreLittleEndianOnEveryHost) {
+  // The v3 format (and the socket frame length prefix built on it) is
+  // little-endian by definition, not host-endian by accident.
+  std::vector<u8> buf;
+  wire::put_u32(buf, 0x01020304u);
+  EXPECT_EQ(buf, (std::vector<u8>{0x04, 0x03, 0x02, 0x01}));
+  buf.clear();
+  wire::put_u64(buf, 0x0102030405060708ull);
+  EXPECT_EQ(buf, (std::vector<u8>{0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+
+  u64 v64 = 0;
+  wire::Reader r(buf.data(), buf.size());
+  ASSERT_TRUE(r.get_u64(v64));
+  EXPECT_EQ(v64, 0x0102030405060708ull);
+  EXPECT_EQ(wire::load_u32le(buf.data()), 0x05060708u);
 }
 
 }  // namespace

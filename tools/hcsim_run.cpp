@@ -170,11 +170,11 @@ int main(int argc, char** argv) {
                     : default_trace_len();
   if (sampled) {
     if (spec.measure == 0) spec.measure = sample::kDefaultMeasure;
-    spec.validate();
+    if (const std::string bad = sample::spec_error(spec); !bad.empty()) {
+      std::fprintf(stderr, "%s\n", bad.c_str());
+      return 2;
+    }
   }
-  // This tool drives sampling explicitly via simulate_sampled(); clear the
-  // env-initialized active spec so simulate_workload always runs full.
-  sample::set_active_sample_spec(sample::SampleSpec{});
 
   const MachineConfig cfg =
       steer.helper_enabled ? helper_machine(steer) : monolithic_baseline();
@@ -191,9 +191,9 @@ int main(int argc, char** argv) {
   }
 
   if (!sampled) {
-    const SimResult r = from_profile
-                            ? simulate_workload(cfg, spec_profile(source), n)
-                            : simulate(cfg, owned);
+    const SimResult r = from_profile ? simulate_workload(cfg, spec_profile(source), n,
+                                                         sample::SampleSpec{})
+                                     : simulate(cfg, owned);
     print_result(r, cfg);
     if (verbose) print_counters(r);
     return 0;
@@ -216,9 +216,9 @@ int main(int argc, char** argv) {
   if (verbose) print_counters(sr.total);
 
   if (compare_full) {
-    const SimResult full = from_profile
-                               ? simulate_workload(cfg, spec_profile(source), n)
-                               : simulate(cfg, owned);
+    const SimResult full = from_profile ? simulate_workload(cfg, spec_profile(source), n,
+                                                            sample::SampleSpec{})
+                                        : simulate(cfg, owned);
     std::printf("\nsampled vs full:\n");
     for (const sample::SampleError& e : sample::sampling_errors(full, sr.total))
       std::printf("  %-28s full %12.6f  sampled %12.6f  rel err %6.2f%%\n",

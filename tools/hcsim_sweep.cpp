@@ -386,7 +386,10 @@ int main(int argc, char** argv) {
   if (compare_full) sampled = true;
   if (sampled) {
     if (sample_spec.measure == 0) sample_spec.measure = sample::kDefaultMeasure;
-    sample_spec.validate();
+    if (const std::string bad = sample::spec_error(sample_spec); !bad.empty()) {
+      std::fprintf(stderr, "%s\n", bad.c_str());
+      return 2;
+    }
   }
 
   // The full reference sweep runs first, with sampling forced off; the main

@@ -1,26 +1,23 @@
 // hcsimd — persistent simulation service.
 //
-// Keeps the process-wide trace cache and config registry warm across sweep
-// requests, runs every job on one shared thread pool, and (on request)
-// hosts trace-bus producers on shared-memory rings. Clients speak the
-// length-prefixed framed protocol of docs/PROTOCOL.md over a Unix-domain
-// socket; `hcsim_sweep --connect <sock>` is the reference client.
+// Keeps the process-wide trace cache warm across job batches and runs every
+// job on one shared thread pool. Clients speak the length-prefixed framed
+// protocol of docs/PROTOCOL.md over a Unix-domain socket: kRunJobs batches
+// of self-contained jobs, kPing and kShutdown. `hcsim_sweep --connect
+// <sock>` is the reference client.
 //
 // Usage:
 //   hcsimd --socket PATH [--threads N] [--idle-timeout-ms N]
-//          [--conn-idle-timeout-ms N] [--shm-dir DIR] [--journal-dir DIR]
+//          [--conn-idle-timeout-ms N] [--journal-dir DIR]
 //
-// --threads 0 (default) sizes the sweep pool to the hardware. With
+// --threads 0 (default) sizes the job pool to the hardware. With
 // --idle-timeout-ms the daemon exits by itself once it has had no client
-// and no live trace-bus segment for that long — shutdown unlinks the
-// socket and every shm segment it created. --conn-idle-timeout-ms (default
-// 60000, 0 = off) drops a connection that sends nothing for that long so an
-// idle client cannot starve waiting ones. --shm-dir (default /dev/shm)
-// confines kServeTrace ring segments: requests naming a path outside it are
-// answered with kError. --journal-dir persists every completed kRunJobs
-// result to DIR/daemon.journal and recovers it on restart, so a crashed
-// daemon serves re-submitted jobs from disk instead of recomputing them
-// (docs/PROTOCOL.md, "Job ids and the journal").
+// for that long — shutdown unlinks the socket. --conn-idle-timeout-ms
+// (default 60000, 0 = off) drops a connection that sends nothing for that
+// long so an idle client cannot starve waiting ones. --journal-dir persists
+// every completed kRunJobs result to DIR/daemon.journal and recovers it on
+// restart, so a crashed daemon serves re-submitted jobs from disk instead
+// of recomputing them (docs/PROTOCOL.md, "Job ids and the journal").
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +30,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket PATH [--threads N] [--idle-timeout-ms N]\n"
-               "       [--conn-idle-timeout-ms N] [--shm-dir DIR] [--journal-dir DIR]\n",
+               "       [--conn-idle-timeout-ms N] [--journal-dir DIR]\n",
                argv0);
   return 2;
 }
@@ -75,8 +72,6 @@ int main(int argc, char** argv) {
       opts.idle_timeout_ms = parse_u64("--idle-timeout-ms", next());
     } else if (arg == "--conn-idle-timeout-ms") {
       opts.conn_idle_timeout_ms = parse_u64("--conn-idle-timeout-ms", next());
-    } else if (arg == "--shm-dir") {
-      opts.shm_dir = next();
     } else if (arg == "--journal-dir") {
       opts.journal_dir = next();
     } else {
