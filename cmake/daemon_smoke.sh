@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Daemon smoke (ctest): start hcsimd on a scratch socket, drive it with
-# hcsim_sweep --connect, and demand the fig06 grid's CSV and a sampled smoke
-# grid's CSV be byte-identical to the in-process runs. Also covers the CLI
+# hcsim_sweep --connect, and demand the fig06 grid's CSV, and the CSVs of a
+# sampled smoke grid and a full rv grid sent by two clients at once, be
+# byte-identical to the in-process runs. Also covers the CLI
 # contract: --list prints the registry; unknown sweep names, a zero sample
 # warm-up in fault-tolerant mode and a sample spec no run may use exit 2
 # with a diagnostic (hcsim_run too); and --connect --shutdown stops the
@@ -129,12 +130,19 @@ cmp "$WORK_DIR/local.csv" "$WORK_DIR/remote.csv"
 "$SWEEP" fig06 --len 6000 --quiet --csv "$WORK_DIR/remote2.csv" --connect "$SOCK" > /dev/null
 cmp "$WORK_DIR/local.csv" "$WORK_DIR/remote2.csv"
 
-# Sampled jobs carry their own spec to the daemon; the sampled CSV must
-# match the in-process run too.
-SAMPLED="--len 50000 --sampled --sample-warmup 1000 --sample-measure 4000"
-"$SWEEP" smoke $SAMPLED --quiet --csv "$WORK_DIR/sampled_local.csv" > /dev/null
-"$SWEEP" smoke $SAMPLED --quiet --csv "$WORK_DIR/sampled_remote.csv" --connect "$SOCK" > /dev/null
+# Two clients at once, each job carrying its own sample spec: a sampled
+# smoke grid and a full rv grid share the daemon's pool, and each CSV must
+# match its in-process run.
+SAMPLED="smoke --len 50000 --sampled --sample-warmup 1000 --sample-measure 4000"
+FULL="rv --len 20000"
+"$SWEEP" $SAMPLED --quiet --csv "$WORK_DIR/sampled_local.csv" > /dev/null
+"$SWEEP" $FULL --quiet --csv "$WORK_DIR/rv_local.csv" > /dev/null
+"$SWEEP" $SAMPLED --quiet --csv "$WORK_DIR/sampled_remote.csv" --connect "$SOCK" > /dev/null &
+SAMPLED_PID=$!
+"$SWEEP" $FULL --quiet --csv "$WORK_DIR/rv_remote.csv" --connect "$SOCK" > /dev/null
+wait "$SAMPLED_PID"
 cmp "$WORK_DIR/sampled_local.csv" "$WORK_DIR/sampled_remote.csv"
+cmp "$WORK_DIR/rv_local.csv" "$WORK_DIR/rv_remote.csv"
 
 "$SWEEP" --connect "$SOCK" --shutdown
 wait "$DPID"

@@ -59,8 +59,9 @@ MachineConfig helper_machine(const SteeringConfig& steer);
 /// The first rule `cfg` breaks that the pipeline cannot run with, or "" if
 /// none: the checks Pipeline's components make when built (slot widths,
 /// queue sizes, clock ratio, predictor tables, cache geometry), plus at
-/// least one ROB entry and one copy port. Pipeline aborts on a failing
-/// config; the daemon refuses the job.
+/// least one ROB entry and one copy port, and an upper bound on every field
+/// that sizes an allocation (ROB entries, predictor table entries, cache
+/// lines). Pipeline aborts on a failing config; the daemon refuses the job.
 std::string machine_config_error(const MachineConfig& cfg);
 
 }  // namespace hcsim

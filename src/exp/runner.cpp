@@ -38,11 +38,6 @@ void ThreadPool::submit(std::function<void()> job) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> job;
@@ -52,47 +47,66 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and drained
       job = std::move(queue_.front());
       queue_.pop();
-      ++in_flight_;
     }
     job();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 
 // --- run_batch --------------------------------------------------------------
 
-void run_batch(std::vector<std::function<void()>>& jobs, unsigned threads,
-               ThreadPool* pool) {
+void run_batch(const std::vector<std::function<void()>>& jobs, unsigned threads,
+               ThreadPool* pool, const std::function<void(std::size_t)>& on_done) {
   if (!pool && threads <= 1) {
-    for (auto& job : jobs) job();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      jobs[i]();
+      if (on_done) on_done(i);
+    }
     return;
   }
-
-  // Per-batch latch, NOT ThreadPool::wait_idle: a shared pool may be running
-  // other batches' jobs concurrently, and this call must only wait for its
-  // own.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t left = jobs.size();
-  if (left == 0) return;
+  if (jobs.empty()) return;
 
   std::optional<ThreadPool> own;
   if (!pool) {
     own.emplace(threads);
     pool = &*own;
   }
-  for (auto& job : jobs)
-    pool->submit([&, job = std::move(job)] {
-      job();
+  // Per-batch state, NOT the pool's: a shared pool may be running other
+  // batches' jobs, and this call must only wait for its own.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::size_t> finished;  // completion order, not yet handed over
+  const std::size_t window = std::min<std::size_t>(pool->size(), jobs.size());
+  // The next job to queue. It goes to the back of the pool's queue, behind
+  // whatever other batches queued meanwhile: that is the turn-taking. With
+  // on_done it is queued by this thread as it takes a finished job (so the
+  // results before it are handed over first); without, by the worker that
+  // finished one, under `mu`, so the pool never waits on this thread.
+  std::size_t next = window;
+  std::function<void(std::size_t)> submit = [&](std::size_t i) {
+    pool->submit([&, i] {
+      jobs[i]();
       std::lock_guard<std::mutex> lock(mu);
-      if (--left == 0) cv.notify_all();
+      finished.push_back(i);
+      if (!on_done && next < jobs.size()) submit(next++);
+      cv.notify_all();
     });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&left] { return left == 0; });
+  };
+  for (std::size_t i = 0; i < window; ++i) submit(i);
+
+  std::vector<std::size_t> ready;
+  for (std::size_t handed = 0; handed < jobs.size(); handed += ready.size()) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&finished] { return !finished.empty(); });
+      ready.swap(finished);
+      finished.clear();
+    }
+    if (!on_done) continue;
+    for (std::size_t i : ready) {
+      if (next < jobs.size()) submit(next++);
+      on_done(i);
+    }
+  }
 }
 
 // --- run_sweep --------------------------------------------------------------

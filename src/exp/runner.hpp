@@ -20,8 +20,8 @@
 
 namespace hcsim::exp {
 
-/// Fixed-size worker pool. Jobs may be submitted from any thread; wait_idle()
-/// blocks until every submitted job has finished.
+/// Fixed-size worker pool running jobs first in, first out. Jobs may be
+/// submitted from any thread; run_batch waits for a batch of them.
 class ThreadPool {
  public:
   explicit ThreadPool(unsigned n_threads);
@@ -30,7 +30,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   void submit(std::function<void()> job);
-  void wait_idle();
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
  private:
@@ -39,9 +38,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
   std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for jobs
-  std::condition_variable idle_cv_;   // wait_idle() waits for drain
-  unsigned in_flight_ = 0;
+  std::condition_variable work_cv_;  // workers wait for jobs
   bool stopping_ = false;
 };
 
@@ -97,11 +94,21 @@ struct SweepResult {
 /// Run every job of `jobs` and return when all have finished: inline, in
 /// order, when `pool` is null and `threads` <= 1; otherwise on `pool`, or on
 /// a private pool of `threads` workers when `pool` is null. Jobs must be
-/// independent of each other (they may run in any order). Waits only for
-/// these jobs, so callers may share one pool concurrently. The jobs are
-/// moved from.
-void run_batch(std::vector<std::function<void()>>& jobs, unsigned threads,
-               ThreadPool* pool);
+/// independent of each other (they may run in any order). `on_done(i)`,
+/// when set, runs on the calling thread once job i has finished, in
+/// completion order.
+///
+/// Batches sharing a pool take turns: a batch keeps at most pool->size() of
+/// its jobs queued or running, in index order, and each finished job has
+/// the batch's next one queued at the back of the pool's queue. A batch
+/// that arrives while another runs therefore starts within about one job,
+/// and a single batch starts its jobs in index order. With on_done, the
+/// calling thread queues the next job as it takes each finished one, just
+/// before calling on_done, so on a one-worker pool the results of jobs
+/// 0..k-2 have been handed over before job k starts. Waits only for these
+/// jobs, so callers may share one pool concurrently.
+void run_batch(const std::vector<std::function<void()>>& jobs, unsigned threads,
+               ThreadPool* pool, const std::function<void(std::size_t)>& on_done = {});
 
 /// Execute every point of the sweep under the active sample spec
 /// (sample::active_sample_spec(), read once at entry). Baseline simulations

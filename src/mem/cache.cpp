@@ -11,6 +11,8 @@ std::string cache_config_error(const CacheConfig& cfg) {
   if (!std::has_single_bit(cfg.line_bytes)) return "line_bytes must be a power of two";
   if (cfg.ways == 0) return "ways must be positive";
   const u32 lines_total = cfg.size_bytes / cfg.line_bytes;
+  // The tag array holds one u64 per line; 2^20 lines is 16x Table 1's UL1.
+  if (lines_total > (1u << 20)) return "size_bytes / line_bytes must be at most 2^20 lines";
   if (lines_total < cfg.ways) return "size_bytes is smaller than one set";
   const u32 sets = lines_total / cfg.ways;
   if (!std::has_single_bit(sets))

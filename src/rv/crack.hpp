@@ -75,8 +75,7 @@ void emit_step_records(const CrackedProgram& cracked, const RvStep& step,
 /// µop stream, bit-identical to one long stream_from_program pump. An
 /// instruction executes only while the cursor is short of `end`; if its
 /// crack runs past the range boundary the leftover records stay buffered
-/// for the next range (over-pump-and-trim at instruction granularity, the
-/// same contract KernelStream::pump_range honored by re-executing).
+/// for the next range (over-pump-and-trim at instruction granularity).
 class RvStreamCursor {
  public:
   /// Borrows `prog` and `cracked` (must be crack_program(prog)); the caller

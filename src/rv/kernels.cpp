@@ -63,25 +63,6 @@ RvTraceInfo KernelStream::pump(u64 max_uops,
   return info;
 }
 
-RvTraceInfo KernelStream::pump_range(
-    u64 begin, u64 end, const std::function<void(const TraceRecord&)>& sink) const {
-  HCSIM_CHECK(begin <= end, "pump_range: begin > end");
-  // The executor's µop budget cuts at instruction boundaries: it stops
-  // *before* an instruction whose crack would cross the budget. A range end
-  // landing mid-crack must still deliver the µops below `end`, so extend the
-  // budget by the widest crack in this program and trim with the filter —
-  // otherwise two pump_range slices would disagree with one longer pump
-  // about the records near their shared boundary.
-  u64 max_crack = 1;
-  for (std::size_t i = 0; i + 1 < cracked.first_uop.size(); ++i)
-    max_crack = std::max<u64>(max_crack, cracked.first_uop[i + 1] - cracked.first_uop[i]);
-  u64 pos = 0;
-  return pump(end + max_crack - 1, [&](const TraceRecord& r) {
-    if (pos >= begin && pos < end) sink(r);
-    ++pos;
-  });
-}
-
 KernelStream open_kernel_stream(const std::string& name) {
   const RvKernel* k = find_kernel(name);
   HCSIM_CHECK(k != nullptr, "unknown rv kernel: " + name);

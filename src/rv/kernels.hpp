@@ -53,13 +53,6 @@ struct KernelStream {
   /// bounded by `max_uops`. Aborts if the kernel traps.
   RvTraceInfo pump(u64 max_uops,
                    const std::function<void(const TraceRecord&)>& sink) const;
-
-  /// Push only records [begin, end) of the stream to `sink` (the windowed
-  /// sampler's slice primitive). Functional execution still starts from the
-  /// kernel entry point — records before `begin` are executed and discarded,
-  /// so the delivered range is bit-identical to the same slice of pump().
-  RvTraceInfo pump_range(u64 begin, u64 end,
-                         const std::function<void(const TraceRecord&)>& sink) const;
 };
 
 /// Assemble + crack a bundled kernel (no dynamic execution yet).

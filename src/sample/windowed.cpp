@@ -281,13 +281,14 @@ SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len
   // computation, so the splice below is bit-identical to the serial run.
   // Windows the trace never reached come back empty.
   std::vector<std::vector<WindowStats>> slots(plan.size());
-  {
-    exp::ThreadPool pool(std::min<unsigned>(
-        threads, static_cast<unsigned>(std::min<std::size_t>(plan.size(), 4096))));
-    for (std::size_t i = 0; i < plan.size(); ++i)
-      pool.submit([&, i] { slots[i] = simulate_window(cfg, *factory(), plan[i]); });
-    pool.wait_idle();
-  }
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i)
+    jobs.push_back([&, i] { slots[i] = simulate_window(cfg, *factory(), plan[i]); });
+  exp::run_batch(jobs,
+                 std::min<unsigned>(threads, static_cast<unsigned>(
+                                                 std::min<std::size_t>(plan.size(), 4096))),
+                 nullptr);
   std::vector<WindowStats> windows;
   for (std::vector<WindowStats>& s : slots)
     if (!s.empty()) windows.push_back(std::move(s.front()));

@@ -38,24 +38,16 @@ class Deadline {
   std::chrono::steady_clock::time_point end_;
 };
 
-int poll_wait(int fd, short events, const Deadline& dl,
-              const std::atomic<bool>* interrupt) {
+int poll_wait(int fd, short events, const Deadline& dl) {
   for (;;) {
-    if (fault::enabled() && fault::fire("sock.poll.eintr")) {
-      // Simulated EINTR: take the same path a real signal would.
-      if (interrupt != nullptr && interrupt->load(std::memory_order_relaxed)) return -1;
-      continue;
-    }
+    // Simulated EINTR: retried like a real one.
+    if (fault::enabled() && fault::fire("sock.poll.eintr")) continue;
     pollfd p{};
     p.fd = fd;
     p.events = events;
     const int r = ::poll(&p, 1, dl.remaining_ms());
     if (r < 0) {
-      if (errno == EINTR) {
-        if (interrupt != nullptr && interrupt->load(std::memory_order_relaxed))
-          return -1;
-        continue;
-      }
+      if (errno == EINTR) continue;
       return -1;
     }
     if (r == 0) return 0;
@@ -90,7 +82,7 @@ Status read_exact(int fd, void* buf, std::size_t n, int timeout_ms) {
     if (got == 0) return Status::kEof;
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      const int r = poll_wait(fd, POLLIN, dl, nullptr);
+      const int r = poll_wait(fd, POLLIN, dl);
       if (r == 0) return Status::kTimeout;
       if (r < 0) return Status::kError;
       continue;
@@ -122,7 +114,7 @@ Status write_all(int fd, const void* buf, std::size_t n, int timeout_ms) {
     }
     if (put < 0 && errno == EINTR) continue;
     if (put < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int r = poll_wait(fd, POLLOUT, dl, nullptr);
+      const int r = poll_wait(fd, POLLOUT, dl);
       if (r == 0) return Status::kTimeout;
       if (r < 0) return Status::kError;
       continue;
@@ -132,9 +124,9 @@ Status write_all(int fd, const void* buf, std::size_t n, int timeout_ms) {
   return Status::kOk;
 }
 
-int poll_in(int fd, int timeout_ms, const std::atomic<bool>* interrupt) {
+int poll_in(int fd, int timeout_ms) {
   const Deadline dl(timeout_ms);
-  return poll_wait(fd, POLLIN, dl, interrupt);
+  return poll_wait(fd, POLLIN, dl);
 }
 
 }  // namespace hcsim::svc::io

@@ -1,8 +1,9 @@
 // hcsim — socket I/O helpers for the svc layer.
 //
-// Every read/write/poll the daemon and its clients perform funnels through
-// these helpers so that (a) a stray signal's EINTR can never abort a healthy
-// connection mid-frame, (b) per-request timeouts are enforced with a poll
+// Every socket read/write the daemon and its clients perform, and every wait
+// on one connection, funnels through these helpers so that (a) a stray
+// signal's EINTR can never abort a healthy connection mid-frame, (b)
+// per-request timeouts are enforced with a poll
 // deadline rather than SO_RCVTIMEO (whose EAGAIN is indistinguishable from a
 // non-blocking socket's), and (c) the deterministic fault harness
 // (util/faultpoint.hpp) can inject short reads/writes, EINTR storms and
@@ -13,7 +14,6 @@
 //   sock.poll.eintr
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 
 namespace hcsim::svc::io {
@@ -35,9 +35,7 @@ Status read_exact(int fd, void* buf, std::size_t n, int timeout_ms = -1);
 Status write_all(int fd, const void* buf, std::size_t n, int timeout_ms = -1);
 
 /// Wait for POLLIN. Returns 1 when readable (or the peer hung up), 0 on
-/// timeout, -1 on error. EINTR is retried with the remaining budget — unless
-/// `interrupt` is set and true, which returns -1 so signal-driven loops
-/// (the daemon's accept loop re-checking its stop flag) can exit promptly.
-int poll_in(int fd, int timeout_ms, const std::atomic<bool>* interrupt = nullptr);
+/// timeout, -1 on error. EINTR is retried with the remaining budget.
+int poll_in(int fd, int timeout_ms);
 
 }  // namespace hcsim::svc::io

@@ -90,10 +90,10 @@ bool write_frame(int fd, u8 type, const std::vector<u8>& payload, int timeout_ms
   return io::write_all(fd, buf.data(), buf.size(), timeout_ms) == io::Status::kOk;
 }
 
-bool write_error(int fd, const std::string& msg) {
+bool write_error(int fd, const std::string& msg, int timeout_ms) {
   std::vector<u8> payload;
   wire::put_string(payload, msg);
-  return write_frame(fd, kError, payload);
+  return write_frame(fd, kError, payload, timeout_ms);
 }
 
 // --- value codecs -----------------------------------------------------------

@@ -74,7 +74,7 @@ bool write_frame(int fd, u8 type, const std::vector<u8>& payload,
                  int timeout_ms = -1);
 
 /// Convenience: kError frame with a message.
-bool write_error(int fd, const std::string& msg);
+bool write_error(int fd, const std::string& msg, int timeout_ms = -1);
 
 // --- value codecs (kRunJobs payloads + the job journal) ---------------------
 // Canonical little-endian encodings of the simulation inputs and outputs.

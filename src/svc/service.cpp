@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <mutex>
 #include <thread>
 
 #include "core/machine_config.hpp"
@@ -48,38 +47,39 @@ bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
     }
   }
 
-  // `mu` serializes on_result and the outcome counters within the batch.
-  std::mutex mu;
-  bool stream_ok = true;
+  std::vector<JobResponse> resps(reqs.size());
   std::vector<std::function<void()>> jobs;
   jobs.reserve(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i)
     jobs.push_back([&, i] {
       const JobRequest& req = reqs[i];
-      JobResponse resp;
+      JobResponse& resp = resps[i];
       resp.job_id = job_id(req);
-      const bool journaled = journal_.lookup(resp.job_id, resp.result);
-      resp.from_journal = journaled;
-      if (!journaled) {
+      resp.from_journal = journal_.lookup(resp.job_id, resp.result);
+      if (!resp.from_journal) {
         // The crash the journal exists to survive: abort() between jobs, at
         // a deterministic index, with everything before it already durable.
         if (fault::enabled() && fault::fire("job.abort")) std::abort();
         resp.result = simulate_workload(req.config, req.profile, req.n_records, specs[i]);
         journal_.append(resp.job_id, resp.result);
       }
-      std::lock_guard<std::mutex> lock(mu);
-      // A dead stream stops sending but NOT simulating: the remainder keeps
-      // landing in the journal, so the client's re-submission after
-      // reconnect is served as pure journal hits.
-      if (!stream_ok) return;
-      if (on_result(resp)) {
-        ++outcome.completed;
-        if (resp.from_journal) ++outcome.journal_hits;
-      } else {
-        stream_ok = false;
-      }
     });
-  exp::run_batch(jobs, pool_.size(), &pool_);
+  // Results go out on this thread, so a pool worker never waits on a slow
+  // reader, and each is journaled before it is sent.
+  bool stream_ok = true;
+  exp::run_batch(jobs, pool_.size(), &pool_, [&](std::size_t i) {
+    // A dead stream stops sending but NOT simulating: the remainder keeps
+    // landing in the journal, so the client's re-submission after
+    // reconnect is served as pure journal hits.
+    const JobResponse resp = std::move(resps[i]);
+    if (!stream_ok) return;
+    if (on_result(resp)) {
+      ++outcome.completed;
+      if (resp.from_journal) ++outcome.journal_hits;
+    } else {
+      stream_ok = false;
+    }
+  });
 
   outcome.stream_lost = !stream_ok;
   if (!stream_ok) error = "client connection lost mid-batch";

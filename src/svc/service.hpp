@@ -41,11 +41,14 @@ class SweepService {
   /// Run a batch of self-contained jobs on the pool, each under its own
   /// sample spec (sample_spec_of). Journaled jobs are served from the
   /// journal (from_journal set); fresh results are appended to it before
-  /// `on_result` streams them out. `on_result` is called from pool workers
-  /// but serialized within the batch (never concurrently); returning false
-  /// (client gone) stops the stream — remaining jobs still simulate and
-  /// journal, so the work survives for the re-submission. Safe to call
-  /// from several threads at once. Returns false with a diagnostic on bad
+  /// `on_result` streams them out. `on_result` runs on the calling thread,
+  /// in completion order, so a slow or stalled reader never holds a pool
+  /// worker; returning false (client gone) stops the stream — remaining
+  /// jobs still simulate and journal, so the work survives for the
+  /// re-submission. Safe to call from several threads at once: batches
+  /// take turns on the pool job by job (exp::run_batch), so a batch that
+  /// arrives while another runs starts within about one job. Returns false
+  /// with a diagnostic on bad
   /// versions, a zero n_records, a sample spec sample::spec_error refuses,
   /// a machine config the model cannot run (machine_config_error) — all
   /// checked for every job before any simulates — or a dead result stream.

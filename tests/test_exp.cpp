@@ -1,13 +1,17 @@
 // Tests for the experiment-orchestration subsystem (src/exp/): grid
-// expansion, the thread pool, parallel-vs-serial result determinism, and
+// expansion, the thread pool and run_batch's turn-taking,
+// parallel-vs-serial result determinism, and
 // the CSV/JSON report emitters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
@@ -90,28 +94,81 @@ TEST(Sweep, BaselineVariantIsMonolithic) {
   EXPECT_EQ(h.name, "8_8_8");
 }
 
-// --- ThreadPool -------------------------------------------------------------
+// --- ThreadPool and run_batch ----------------------------------------------
 
 TEST(ThreadPool, RunsEverySubmittedJob) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
-  pool.wait_idle();
+  const std::vector<std::function<void()>> jobs(100, [&count] { ++count; });
+  run_batch(jobs, 0, &pool);
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, WaitIdleIsReusable) {
+TEST(Runner, OnDoneRunsOnTheCallerOncePerJob) {
   ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.wait_idle();  // no jobs: returns immediately
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 3);
+  std::atomic<int> ran{0};
+  const std::vector<std::function<void()>> jobs(20, [&ran] { ++ran; });
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> seen(jobs.size(), 0);
+  bool on_caller = true;
+  run_batch(jobs, 0, &pool, [&](std::size_t i) {
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    ++seen.at(i);
+  });
+  EXPECT_TRUE(on_caller);
+  EXPECT_EQ(ran.load(), 20);  // each job once
+  EXPECT_EQ(seen, std::vector<int>(jobs.size(), 1));
+
+  // On a one-worker pool a job starts only after the results of all jobs
+  // but the one just before it were handed over.
+  ThreadPool one(1);
+  std::atomic<std::size_t> handed{0};
+  std::vector<std::size_t> handed_at_start(jobs.size());
+  std::vector<std::function<void()>> ordered;
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    ordered.push_back([&, i] { handed_at_start[i] = handed.load(); });
+  run_batch(ordered, 0, &one, [&handed](std::size_t) { ++handed; });
+  for (std::size_t i = 1; i < jobs.size(); ++i) EXPECT_GE(handed_at_start[i], i - 1) << i;
+
+  // Inline (no pool, one thread): every job, in order.
+  std::vector<std::size_t> order;
+  run_batch(jobs, 1, nullptr, [&order](std::size_t i) { order.push_back(i); });
+  ASSERT_EQ(order.size(), jobs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(Runner, BatchesSharingAPoolTakeTurns) {
+  // Two batches on a one-worker pool, the second sent while the first runs.
+  // Each keeps one job queued or running, and each finished job queues its
+  // batch's next one behind the other batch's: after the second batch's
+  // first job, the two alternate until the shorter one ends.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::string order;  // one letter per job, in the order they ran
+  std::atomic<bool> a_running{false}, b_sent{false};
+  const auto job = [&](char batch) {
+    return [&, batch] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(batch);
+      }
+      // Hold the first batch until the second is about to be sent.
+      a_running.store(true);
+      while (!b_sent.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+  };
+  const std::vector<std::function<void()>> a(20, job('a')), b(10, job('b'));
+  std::thread first([&] { run_batch(a, 0, &pool); });
+  while (!a_running.load()) std::this_thread::yield();
+  b_sent.store(true);
+  run_batch(b, 0, &pool);
+  first.join();
+  ASSERT_EQ(order.size(), a.size() + b.size());
+  const std::size_t k = order.find('b');
+  ASSERT_NE(k, std::string::npos);
+  EXPECT_EQ(order.substr(k, 19), "bababababababababab") << order;
 }
 
 // --- runner determinism -----------------------------------------------------

@@ -495,6 +495,25 @@ TEST(MachineConfig, OutOfRangeValuesAreNamed) {
             "mem.dl0.line_bytes must be a power of two");
   EXPECT_EQ(error_for([](MachineConfig& c) { c.mem.ul1.size_bytes = 3 << 20; }),
             "mem.ul1.size_bytes / (line_bytes * ways) sets must be a power of two");
+  // Fields that size an allocation are bounded, so one job cannot exhaust
+  // the daemon's memory; the largest configs in use sit far below.
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.rob_entries = 65537; }),
+            "rob_entries must be in 1..65536");
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.rob_entries = 4294967295u; }),
+            "rob_entries must be in 1..65536");
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.wpred.entries = 1u << 21; }),
+            "wpred.entries must be at most 2^20");
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.bpred.entries = 1u << 31; }),
+            "bpred.entries must be at most 2^20");
+  EXPECT_EQ(error_for([](MachineConfig& c) { c.mem.ul1.size_bytes = 1u << 27; }),
+            "mem.ul1.size_bytes / line_bytes must be at most 2^20 lines");
+  // ... and each bound admits its largest value.
+  EXPECT_EQ(error_for([](MachineConfig& c) {
+              c.rob_entries = 65536;
+              c.wpred.entries = c.bpred.entries = 1u << 20;
+              c.mem.ul1.size_bytes = 1u << 26;
+            }),
+            "");
 }
 
 TEST(MachineConfig, PipelineRefusesAnUnrunnableConfig) {

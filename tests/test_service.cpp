@@ -4,15 +4,23 @@
 // payload, retired or unknown frame types, bad jobs) get a kError reply on
 // a connection that stays usable; framing errors drop the connection but
 // never the daemon; a client departing mid-batch leaves the daemon alive.
-// And the job contract: every job's result is a function of its request
-// alone, whatever else shares its batch or the service.
+// The serving model: connections are served at once, batches take turns on
+// the shared pool, and neither an idle client nor one that stops reading
+// holds anyone else up or keeps the daemon from shutting down. And the job
+// contract: every job's result is a function of its request alone, whatever
+// else shares its batch or the service.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,6 +119,8 @@ struct Unrunnable {
 const Unrunnable kUnrunnable[] = {
     {"copy_ports", [](MachineConfig& c) { c.copy_ports = 0; }},
     {"rob_entries", [](MachineConfig& c) { c.rob_entries = 0; }},
+    // A 32 GiB ROB ring: the allocation used to throw bad_alloc and abort.
+    {"rob_entries", [](MachineConfig& c) { c.rob_entries = 4294967295u; }},
     {"issue_wide", [](MachineConfig& c) { c.issue_wide = 0; }},
     {"issue_helper", [](MachineConfig& c) { c.issue_helper = 0; }},
     {"ticks_per_wide_cycle", [](MachineConfig& c) { c.ticks_per_wide_cycle = 0; }},
@@ -155,6 +165,17 @@ std::vector<u8> encoded(const SimResult& result) {
   std::vector<u8> buf;
   encode(buf, result);
   return buf;
+}
+
+/// Poll `done` every millisecond until it holds or `limit` passes.
+template <typename Pred>
+bool wait_until(Pred done, std::chrono::milliseconds limit) {
+  const auto end = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= end) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 /// Run `reqs` as one batch; the encoded result of every job, by job id.
@@ -256,6 +277,7 @@ class DaemonFixture {
       opts.socket_path = path_;
       opts.threads = 1;
       run_daemon(opts);
+      returned_.store(true);
     });
     // The socket appears once the daemon is listening.
     for (int i = 0; i < 500 && ::access(path_.c_str(), F_OK) != 0; ++i)
@@ -265,8 +287,10 @@ class DaemonFixture {
   ~DaemonFixture() {
     if (thread_.joinable()) {
       std::string error;
-      Client c = Client::connect(path_);
-      if (c.ok()) c.shutdown(error);
+      if (!returned_.load()) {
+        Client c = Client::connect(path_);
+        if (c.ok()) c.shutdown(error);
+      }
       thread_.join();
     }
     ::unlink(path_.c_str());
@@ -274,10 +298,33 @@ class DaemonFixture {
 
   const std::string& path() const { return path_; }
 
+  /// True once run_daemon has returned, waiting up to `limit` for it.
+  bool wait_returned(std::chrono::milliseconds limit) const {
+    return wait_until([this] { return returned_.load(); }, limit);
+  }
+
  private:
   std::string path_;
   std::thread thread_;
+  std::atomic<bool> returned_{false};
 };
+
+/// `n` distinct full-run jobs, job i of `n_records + i` µops.
+std::vector<JobRequest> jobs_from(u64 n_records, u64 n) {
+  std::vector<JobRequest> reqs;
+  for (u64 i = 0; i < n; ++i) reqs.push_back(job_sampled(n_records + i, 0, 0, 0));
+  return reqs;
+}
+
+/// Threads in this process.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  if (DIR* d = ::opendir("/proc/self/task")) {
+    while (const dirent* e = ::readdir(d)) n += e->d_name[0] != '.';
+    ::closedir(d);
+  }
+  return n;
+}
 
 TEST(Daemon, PingAndJobBatchesOverTheSocket) {
   DaemonFixture daemon("basic");
@@ -410,24 +457,223 @@ TEST(Daemon, ClientDisconnectMidJobLeavesDaemonAlive) {
 
 TEST(Daemon, IdleConnectionIsDroppedInsteadOfStarvingOthers) {
   DaemonOptions base;
-  base.conn_idle_timeout_ms = 100;
+  base.conn_idle_timeout_ms = 1000;
   DaemonFixture daemon("idle", base);
 
-  // First client connects and goes silent — never sends a frame, never
-  // closes. Connections are served one at a time, so before the bounded
-  // idle wait this parked the daemon forever.
+  // The first client connects and goes silent: it never sends a frame and
+  // never closes.
+  const auto t0 = std::chrono::steady_clock::now();
   Client idler = Client::connect(daemon.path());
   ASSERT_TRUE(idler.ok()) << idler.error();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  // Second client must still get service once the idler is dropped.
+  // It holds only its own connection: a second client is answered at once,
+  // not after the idler's timeout.
   Client active = Client::connect(daemon.path());
   ASSERT_TRUE(active.ok()) << active.error();
   std::string error;
   EXPECT_TRUE(active.ping(error)) << error;
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
 
-  // The idler's connection was closed by the daemon.
-  EXPECT_FALSE(idler.ping(error));
+  // The idler is still dropped once its timeout has passed: it sees EOF.
+  Frame f;
+  std::string err = "sentinel";
+  EXPECT_FALSE(read_frame(idler.fd(), f, kMaxResponseFrame, &err, 10000));
+  EXPECT_EQ(err, "");  // EOF, not this read's own deadline
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(1000));
+}
+
+TEST(Daemon, ConcurrentClientsEachGetTheirOwnSpecsResults) {
+  // Two clients send batches at once, one sampled and one full; every
+  // result is the in-process one under its own job's spec.
+  DaemonFixture daemon("twoclients");
+  std::vector<JobRequest> full, sampled;
+  for (u64 n : {3000, 4500, 6000}) {
+    full.push_back(job_sampled(n, 0, 0, 0));
+    sampled.push_back(job_sampled(n, 300, 700, 1500));
+  }
+  Client a = Client::connect(daemon.path());
+  Client b = Client::connect(daemon.path());
+  ASSERT_TRUE(a.ok() && b.ok()) << a.error() << b.error();
+  std::map<u64, std::vector<u8>> got;
+  std::mutex mu;
+  const auto send = [&](Client& c, const std::vector<JobRequest>& reqs) {
+    c.set_timeout_ms(30000);
+    JobsDone done;
+    std::string error;
+    EXPECT_EQ(c.run_jobs(
+                  reqs,
+                  [&](const JobResponse& resp) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    got[resp.job_id] = encoded(resp.result);
+                  },
+                  done, error),
+              Client::BatchStatus::kDone)
+        << error;
+    EXPECT_EQ(done.completed, reqs.size());
+  };
+  std::thread other([&] { send(b, sampled); });
+  send(a, full);
+  other.join();
+  ASSERT_EQ(got.size(), full.size() + sampled.size());
+  for (const std::vector<JobRequest>* reqs : {&full, &sampled})
+    for (const JobRequest& req : *reqs) {
+      sample::SampleSpec spec;
+      ASSERT_EQ(sample_spec_of(req, spec), "");
+      EXPECT_EQ(got.at(job_id(req)),
+                encoded(simulate_workload(req.config, req.profile, req.n_records, spec)))
+          << "n_records=" << req.n_records << " sampled=" << req.sampled;
+    }
+}
+
+TEST(Daemon, ShortBatchOvertakesALongOneOnTheSharedPool) {
+  // The fixture's pool has one worker. A 1-job batch sent while a 12-job
+  // batch runs takes its turn within about one job, so it is done first.
+  DaemonFixture daemon("turns");
+  Client long_client = Client::connect(daemon.path());
+  Client short_client = Client::connect(daemon.path());
+  ASSERT_TRUE(long_client.ok() && short_client.ok());
+  long_client.set_timeout_ms(30000);
+  short_client.set_timeout_ms(10000);
+
+  std::atomic<int> finished{0};
+  std::atomic<bool> long_started{false};
+  int long_rank = -1;
+  std::thread t([&] {
+    JobsDone done;
+    std::string error;
+    EXPECT_EQ(long_client.run_jobs(
+                  jobs_from(20000, 12), [&](const JobResponse&) { long_started.store(true); },
+                  done, error),
+              Client::BatchStatus::kDone)
+        << error;
+    long_rank = finished++;
+  });
+  // (No ASSERT while `t` runs: leaving early would destroy it unjoined.)
+  EXPECT_TRUE(wait_until([&] { return long_started.load(); }, std::chrono::seconds(10)));
+  JobsDone done;
+  std::string error;
+  EXPECT_EQ(short_client.run_jobs(jobs_from(1500, 1), nullptr, done, error),
+            Client::BatchStatus::kDone)
+      << error;
+  const int short_rank = finished++;
+  t.join();
+  EXPECT_EQ(short_rank, 0);
+  EXPECT_EQ(long_rank, 1);
+}
+
+TEST(Daemon, ClientThatNeverReadsDoesNotStopOthers) {
+  DaemonFixture daemon("noreader");
+  // 160 jobs (a request frame holds about 170) whose results overflow the
+  // socket buffers; the client never reads them, so the daemon's result
+  // writes to it block.
+  const std::vector<JobRequest> reqs = jobs_from(1000, 160);
+  Client stalled = Client::connect(daemon.path());
+  ASSERT_TRUE(stalled.ok()) << stalled.error();
+  std::vector<u8> payload;
+  wire::put_u32(payload, static_cast<u32>(reqs.size()));
+  for (const JobRequest& req : reqs) encode(payload, req);
+  ASSERT_TRUE(write_frame(stalled.fd(), kRunJobs, payload));
+  // Wait until the unread results stop piling up: the daemon is stuck
+  // writing to this client.
+  int queued = -1;
+  ASSERT_TRUE(wait_until(
+      [&] {
+        int now = 0;
+        ::ioctl(stalled.fd(), FIONREAD, &now);
+        const bool still = now > 0 && now == queued;
+        queued = now;
+        if (!still) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return still;
+      },
+      std::chrono::seconds(10)));
+  // ... and really stuck: fewer than all the result frames arrived.
+  JobResponse probe;
+  probe.result = simulate_workload(reqs[0].config, reqs[0].profile, reqs[0].n_records,
+                                   sample::SampleSpec{});
+  std::vector<u8> one;
+  encode(one, probe);
+  ASSERT_LT(static_cast<std::size_t>(queued), reqs.size() * (sizeof(u32) + 1 + one.size()));
+
+  // A second client's batch still runs and streams.
+  Client other = Client::connect(daemon.path());
+  ASSERT_TRUE(other.ok()) << other.error();
+  other.set_timeout_ms(10000);
+  JobsDone done;
+  std::string error;
+  EXPECT_EQ(other.run_jobs(jobs_from(1500, 2), nullptr, done, error),
+            Client::BatchStatus::kDone)
+      << error;
+  EXPECT_EQ(done.completed, 2u);
+  // Leaving closes the stalled client first, which fails the daemon's
+  // blocked write; then the fixture shuts the daemon down.
+}
+
+TEST(Daemon, ShutdownFinishesRunningBatchesAndClosesIdleConnections) {
+  DaemonOptions base;
+  base.conn_idle_timeout_ms = 0;  // nothing but shutdown ends the idle one
+  DaemonFixture daemon("shutdown", base);
+  Client idle = Client::connect(daemon.path());
+  ASSERT_TRUE(idle.ok()) << idle.error();
+  std::string error;
+  ASSERT_TRUE(idle.ping(error)) << error;
+
+  Client busy = Client::connect(daemon.path());
+  ASSERT_TRUE(busy.ok()) << busy.error();
+  busy.set_timeout_ms(30000);
+  const std::vector<JobRequest> reqs = jobs_from(20000, 12);
+  std::atomic<bool> started{false};
+  std::size_t results = 0;
+  Client::BatchStatus status = Client::BatchStatus::kTransport;
+  JobsDone done;
+  std::string busy_error;
+  std::thread t([&] {
+    status = busy.run_jobs(
+        reqs,
+        [&](const JobResponse&) {
+          ++results;
+          started.store(true);
+        },
+        done, busy_error);
+  });
+  // (No ASSERT while `t` runs: leaving early would destroy it unjoined.)
+  EXPECT_TRUE(wait_until([&] { return started.load(); }, std::chrono::seconds(10)));
+
+  Client stopper = Client::connect(daemon.path());
+  stopper.set_timeout_ms(10000);
+  EXPECT_TRUE(stopper.shutdown(error)) << error;
+
+  // The running batch finishes and streams every result.
+  t.join();
+  EXPECT_EQ(status, Client::BatchStatus::kDone) << busy_error;
+  EXPECT_EQ(results, reqs.size());
+  EXPECT_EQ(done.completed, reqs.size());
+  // The idle connection is closed.
+  Frame f;
+  std::string err = "sentinel";
+  EXPECT_FALSE(read_frame(idle.fd(), f, kMaxResponseFrame, &err, 10000));
+  EXPECT_EQ(err, "");
+  // And the daemon is gone, socket file included.
+  EXPECT_TRUE(daemon.wait_returned(std::chrono::seconds(5)));
+  EXPECT_NE(::access(daemon.path().c_str(), F_OK), 0);
+}
+
+TEST(Daemon, FinishedConnectionThreadsAreJoined) {
+  DaemonFixture daemon("reap");
+  const auto ping_once = [&] {
+    Client c = Client::connect(daemon.path());
+    std::string error;
+    EXPECT_TRUE(c.ping(error)) << error;
+  };
+  // The count once the daemon has joined what it can, up to 5 s.
+  const auto settled = [](std::size_t target) {
+    wait_until([&] { return thread_count() <= target; }, std::chrono::seconds(5));
+    return thread_count();
+  };
+  const std::size_t idle = thread_count();
+  ping_once();
+  const std::size_t after_first = settled(idle);
+  for (int i = 1; i < 100; ++i) ping_once();
+  EXPECT_LE(settled(after_first), after_first);
 }
 
 }  // namespace

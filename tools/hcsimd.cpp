@@ -10,14 +10,17 @@
 //   hcsimd --socket PATH [--threads N] [--idle-timeout-ms N]
 //          [--conn-idle-timeout-ms N] [--journal-dir DIR]
 //
-// --threads 0 (default) sizes the job pool to the hardware. With
-// --idle-timeout-ms the daemon exits by itself once it has had no client
-// for that long — shutdown unlinks the socket. --conn-idle-timeout-ms
-// (default 60000, 0 = off) drops a connection that sends nothing for that
-// long so an idle client cannot starve waiting ones. --journal-dir persists
-// every completed kRunJobs result to DIR/daemon.journal and recovers it on
-// restart, so a crashed daemon serves re-submitted jobs from disk instead
-// of recomputing them (docs/PROTOCOL.md, "Job ids and the journal").
+// --threads 0 (default) sizes the job pool to the hardware. Up to 16
+// connections are served at once, and their batches take turns on the
+// pool. With --idle-timeout-ms the daemon exits by itself once no
+// connection has been open for that long — shutdown unlinks the socket.
+// --conn-idle-timeout-ms (default 60000, 0 = off) drops a connection that
+// sends nothing for that long, freeing its slot, and bounds each result
+// write, so a client that stops reading cannot hold the daemon's exit
+// longer than that. --journal-dir persists every completed kRunJobs result
+// to DIR/daemon.journal and recovers it on restart, so a crashed daemon
+// serves re-submitted jobs from disk instead of recomputing them
+// (docs/PROTOCOL.md, "Job ids and the journal").
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
