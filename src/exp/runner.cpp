@@ -3,6 +3,7 @@
 #include <chrono>
 #include <map>
 #include <optional>
+#include <span>
 #include <tuple>
 
 #include "sample/windowed.hpp"
@@ -180,11 +181,11 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
   // of the sweep's time. Such a cell's configs are split into just enough
   // jobs that the sweep has two per thread, so a few long cells still fill
   // the pool. Every other cell runs one job per config: a cached trace is
-  // already shared through cached_trace(), and a full streamed run spends
-  // too little on generation to pay for K pipelines fed in turn (sharing
-  // passes, the cached ladder benchmark ran 5% slower with 16% more peak
-  // RSS, and a streamed 1M-µop helper_design sweep at 4 threads 25%
-  // slower).
+  // already shared, held from the cell's first job to its last, and a full
+  // streamed run spends too little on generation to pay for K pipelines fed
+  // in turn (sharing passes, the cached ladder benchmark ran 5% slower with
+  // 16% more peak RSS, and a streamed 1M-µop helper_design sweep at 4
+  // threads 25% slower).
   const u64 threshold = stream_threshold();
   const bool sampled = sampling.enabled();
   const auto shares_pass = [&](const Cell& cell) {
@@ -193,50 +194,64 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
   std::size_t shared = 0;
   for (const Cell& cell : cells) shared += shares_pass(cell);
   const std::size_t shared_jobs = shared ? (2 * threads + shared - 1) / shared : 1;
-  std::size_t max_jobs = 0;
   for (Cell& cell : cells) {
     const std::size_t k = cell.points.size() + 1;
     cell.n_jobs = shares_pass(cell) ? std::min(k, shared_jobs) : k;
     cell.sims.resize(k);
-    max_jobs = std::max(max_jobs, cell.n_jobs);
   }
 
-  // Job j of every cell is queued before job j + 1 of any, so the baselines
-  // (in job 0) run first, each on its own trace, and a variant's point is
-  // reported as soon as both its job and its cell's baseline are done.
-  std::vector<std::function<void()>> jobs;
-  for (std::size_t j = 0; j < max_jobs; ++j)
-    for (Cell& cell : cells) {
-      if (j >= cell.n_jobs) continue;
-      const std::size_t k = cell.sims.size();
-      jobs.push_back([&, &cell = cell, lo = j * k / cell.n_jobs,
-                      hi = (j + 1) * k / cell.n_jobs] {
-        std::vector<MachineConfig> cfgs;
-        for (std::size_t i = lo; i < hi; ++i)
-          cfgs.push_back(i == 0 ? spec.baseline : cell.points[i - 1]->variant.machine);
-        if (cfgs.size() == 1) {
-          cell.sims[lo] =
-              simulate_workload(cfgs[0], *cell.profile, cell.n_records, sampling);
-        } else {
-          std::vector<sample::SampledResult> runs =
-              sample::simulate_configs(cfgs, *cell.profile, cell.n_records, sampling);
-          for (std::size_t i = lo; i < hi; ++i) cell.sims[i] = std::move(runs[i - lo].total);
-        }
-        if (lo == 0) cell.power = analyze_power(cell.sims[0], spec.baseline);
-
-        std::vector<std::size_t> ready;
-        {
-          std::lock_guard<std::mutex> lock(progress_mu);
-          if (lo == 0) {
-            cell.baseline_done = true;
-            ready = std::move(cell.waiting);
-          }
-          for (std::size_t i = std::max<std::size_t>(lo, 1); i < hi; ++i)
-            (cell.baseline_done ? ready : cell.waiting).push_back(i);
-        }
-        for (std::size_t i : ready) finish_point(cell, i);
-      });
+  // One job: configs [lo, hi) of `cell`, reading the cell's trace under
+  // the hold of job number `job`.
+  TraceHolds holds;
+  const auto run_job = [&](Cell& cell, std::size_t job, std::size_t lo, std::size_t hi) {
+    holds.begin(job);
+    std::vector<MachineConfig> cfgs;
+    for (std::size_t i = lo; i < hi; ++i)
+      cfgs.push_back(i == 0 ? spec.baseline : cell.points[i - 1]->variant.machine);
+    if (cfgs.size() == 1) {
+      cell.sims[lo] = simulate_workload(cfgs[0], *cell.profile, cell.n_records, sampling);
+    } else {
+      std::vector<sample::SampledResult> runs =
+          sample::simulate_configs(cfgs, *cell.profile, cell.n_records, sampling);
+      for (std::size_t i = lo; i < hi; ++i) cell.sims[i] = std::move(runs[i - lo].total);
     }
+    holds.end(job);
+    if (lo == 0) cell.power = analyze_power(cell.sims[0], spec.baseline);
+
+    std::vector<std::size_t> ready;
+    {
+      std::lock_guard<std::mutex> lock(progress_mu);
+      if (lo == 0) {
+        cell.baseline_done = true;
+        ready = std::move(cell.waiting);
+      }
+      for (std::size_t i = std::max<std::size_t>(lo, 1); i < hi; ++i)
+        (cell.baseline_done ? ready : cell.waiting).push_back(i);
+    }
+    for (std::size_t i : ready) finish_point(cell, i);
+  };
+
+  // Cells run in waves of `threads`, in grid order. Within a wave, job j of
+  // every cell is queued before job j + 1 of any, so the wave's baselines
+  // (in job 0) run first, each on its own trace, and a variant's point is
+  // reported as soon as both its job and its cell's baseline are done. Jobs
+  // start in queue order with at most `threads` running, so a cell's trace,
+  // held from its first job to its last, lives through about two waves: at
+  // most 2 x threads cached traces are alive at once, not one per cell.
+  std::vector<std::function<void()>> jobs;
+  for (std::size_t w = 0; w < cells.size(); w += threads) {
+    const std::span<Cell> wave(&cells[w], std::min<std::size_t>(threads, cells.size() - w));
+    std::size_t max_jobs = 0;
+    for (const Cell& cell : wave) max_jobs = std::max(max_jobs, cell.n_jobs);
+    for (std::size_t j = 0; j < max_jobs; ++j)
+      for (Cell& cell : wave) {
+        if (j >= cell.n_jobs) continue;
+        const std::size_t k = cell.sims.size();
+        holds.add(*cell.profile, cell.n_records);
+        jobs.push_back([&run_job, &cell, job = jobs.size(), lo = j * k / cell.n_jobs,
+                        hi = (j + 1) * k / cell.n_jobs] { run_job(cell, job, lo, hi); });
+      }
+  }
   run_batch(jobs, threads, opts.pool);
 
   result.wall_seconds =

@@ -118,7 +118,9 @@ void run_batch(const std::vector<std::function<void()>>& jobs, unsigned threads,
 /// stream_threshold()): there a job runs a range of the cell's configs one
 /// after another from a single pass over the trace
 /// (sample::simulate_configs), with just enough jobs per cell for two per
-/// thread.
+/// thread. Cells run in waves of one per thread, in grid order, and a
+/// cell's cached trace is generated once and held from its first job to
+/// its last, so at most 2 x threads cached traces are alive at once.
 SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts = {});
 
 }  // namespace hcsim::exp

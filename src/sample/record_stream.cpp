@@ -3,7 +3,7 @@
 #include <span>
 
 #include "rv/kernels.hpp"
-#include "sim/simulator.hpp"
+#include "sim/trace_cache.hpp"
 #include "util/log.hpp"
 #include "wload/executor.hpp"
 #include "wload/program_gen.hpp"
@@ -12,10 +12,12 @@ namespace hcsim::sample {
 
 namespace {
 
-/// Materialized trace: ranges are plain index slices.
+/// Materialized trace: ranges are plain index slices. `keep`, when set,
+/// owns the trace, so the stream may outlive everything else that holds it.
 class TraceRecordStream final : public RecordStream {
  public:
-  explicit TraceRecordStream(const Trace& trace) : trace_(trace) {}
+  explicit TraceRecordStream(const Trace& trace, TraceHandle keep = nullptr)
+      : keep_(std::move(keep)), trace_(trace) {}
 
   const Program& program() const override { return trace_.program; }
 
@@ -25,6 +27,7 @@ class TraceRecordStream final : public RecordStream {
   }
 
  private:
+  TraceHandle keep_;
   const Trace& trace_;
 };
 
@@ -123,10 +126,12 @@ std::unique_ptr<RecordStream> open_trace_stream(const Trace& trace) {
 
 StreamFactory workload_stream_factory(const WorkloadProfile& profile, u64 n_records) {
   if (n_records <= stream_threshold()) {
-    // CI-sized runs share the process-wide materialized trace (stable
-    // reference for the process lifetime) — windows slice it for free.
-    const Trace& trace = cached_trace(profile, n_records);
-    return [&trace] { return open_trace_stream(trace); };
+    // CI-sized runs share the cached materialized trace, which the factory
+    // and every stream it opens hold — windows slice it for free.
+    TraceHandle trace = acquire_trace(profile, n_records);
+    return [trace]() -> std::unique_ptr<RecordStream> {
+      return std::make_unique<TraceRecordStream>(*trace, trace);
+    };
   }
   if (!profile.rv_kernel.empty()) {
     const std::string kernel = profile.rv_kernel;

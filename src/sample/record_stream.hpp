@@ -60,7 +60,8 @@ std::unique_ptr<RecordStream> open_trace_stream(const Trace& trace);
 
 /// Factory for `profile`'s deterministic trace of `n_records` µops, routed
 /// the same way simulate_workload routes full runs: a materialized cached
-/// trace at or below stream_threshold(), the synthetic generator cursor or
+/// trace at or below stream_threshold() (held by the factory and by every
+/// stream it opens), the synthetic generator cursor or
 /// the RV kernel executor above it (O(chunk) memory). Every route delivers
 /// the same records: an RV kernel still running at n_records ends at the
 /// last instruction boundary at or below it, as rv::kernel_trace does.

@@ -1,7 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <map>
-#include <mutex>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -16,13 +14,6 @@ namespace hcsim {
 u64 default_trace_len() {
   static const u64 kLen = env_u64("HCSIM_TRACE_LEN", 300000);
   return kLen;
-}
-
-u64 stream_threshold() {
-  // 2M records ≈ 64MB of trace — the most the process-wide cache should pin
-  // per (workload, length) cell. Deliberately not cached in a static:
-  // the threshold-boundary tests move it at runtime.
-  return env_u64("HCSIM_STREAM_THRESHOLD", 2000000);
 }
 
 SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& profile,
@@ -58,48 +49,24 @@ SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& pro
   if (spec.enabled())
     return sample::simulate_sampled(cfg, profile, n_records, spec).total;
   if (n_records <= stream_threshold())
-    return simulate(cfg, cached_trace(profile, n_records));
+    return simulate(cfg, *acquire_trace(profile, n_records));
   return simulate_streamed(cfg, profile, n_records);
-}
-
-const Trace& cached_trace(const WorkloadProfile& profile, u64 n_records) {
-  // Two-level locking so concurrent sweep runners (src/exp/runner.cpp) can
-  // generate *different* traces in parallel: the map mutex only guards
-  // entry lookup/insertion, while each entry's once_flag serializes the
-  // (expensive) generation of that one trace. std::map node references are
-  // stable, so the entry stays valid for the process lifetime.
-  struct Entry {
-    std::once_flag once;
-    Trace trace;
-  };
-  using Key = std::tuple<std::string, u64, u64>;
-  static std::map<Key, Entry> cache;
-  static std::mutex mu;
-
-  Entry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    entry = &cache.try_emplace(Key{profile.name, profile.seed, n_records}).first->second;
-  }
-  std::call_once(entry->once, [&] { entry->trace = generate_trace(profile, n_records); });
-  return entry->trace;
 }
 
 AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
                u64 n_records) {
-  if (n_records == 0) n_records = default_trace_len();
-  const sample::SampleSpec spec = sample::active_sample_spec();
-  AppRun run;
-  run.app = profile.name;
-  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records, spec);
-  run.helper = simulate_workload(helper_machine(steer), profile, n_records, spec);
-  return run;
+  MultiRun run = run_app_configs(profile, std::span<const SteeringConfig>(&steer, 1),
+                                 n_records);
+  return AppRun{std::move(run.app), std::move(run.baseline), std::move(run.configs[0])};
 }
 
 MultiRun run_app_configs(const WorkloadProfile& profile,
                          std::span<const SteeringConfig> configs, u64 n_records) {
   if (n_records == 0) n_records = default_trace_len();
   const sample::SampleSpec spec = sample::active_sample_spec();
+  // Every run below reads this one generation of the trace.
+  const TraceHandle hold =
+      n_records <= stream_threshold() ? acquire_trace(profile, n_records) : nullptr;
   MultiRun run;
   run.app = profile.name;
   run.baseline = simulate_workload(monolithic_baseline(), profile, n_records, spec);

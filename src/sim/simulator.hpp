@@ -1,7 +1,7 @@
 // hcsim — top-level simulation facade shared by examples, benches and tests.
 //
-// Wraps workload generation, trace caching (traces are deterministic, so one
-// process-wide cache serves every experiment), and the
+// Wraps workload generation, the shared trace cache (trace_cache.hpp: a
+// trace lives while the jobs that read it run), and the
 // baseline-vs-helper-cluster comparison that every figure reports.
 #pragma once
 
@@ -11,6 +11,7 @@
 
 #include "core/pipeline.hpp"
 #include "sample/spec.hpp"
+#include "sim/trace_cache.hpp"
 #include "wload/executor.hpp"
 #include "wload/profile.hpp"
 
@@ -22,27 +23,15 @@ namespace hcsim {
 /// scales it up for higher-fidelity runs.
 u64 default_trace_len();
 
-/// Process-wide deterministic trace cache (keyed by profile name, seed and
-/// length). Returned reference is valid for the process lifetime. Only
-/// CI-sized traces belong here — simulate_workload() stops materializing
-/// (and caching) above stream_threshold().
-const Trace& cached_trace(const WorkloadProfile& profile, u64 n_records);
-
-/// Trace length above which simulate_workload() streams records chunk-wise
-/// from the generator instead of materializing + caching the whole trace
-/// (a paper-scale 100M-µop window is ~3GB of records). Overridable via the
-/// HCSIM_STREAM_THRESHOLD environment variable, re-read on every call so
-/// tests can move the boundary at runtime.
-u64 stream_threshold();
-
 /// Always-streaming simulation: records flow from the workload generator
 /// (or the RV kernel cracker) straight into the pipeline, O(chunk) memory.
-/// Bit-identical to simulate(cfg, cached_trace(profile, n_records)).
+/// Bit-identical to simulate(cfg, *acquire_trace(profile, n_records)).
 SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& profile,
                             u64 n_records);
 
-/// Simulate one workload: cached in-memory trace for runs at or below
-/// stream_threshold() (shared across experiments), streaming above it.
+/// Simulate one workload: a cached in-memory trace for runs at or below
+/// stream_threshold(), held for the length of this call (so a caller that
+/// holds the same key shares its trace), streaming above it.
 /// When `spec` is enabled the run goes through the src/sample windowed
 /// simulator instead and the returned result is the spliced measured-window
 /// aggregate. The result is a function of the arguments alone.
@@ -60,14 +49,16 @@ struct AppRun {
   double perf_increase_pct() const { return (speedup() - 1.0) * 100.0; }
 };
 
-/// Baseline and helper runs of one application. The active sample spec
-/// (sample::active_sample_spec(), HCSIM_SAMPLE_*) is read once per call and
-/// applies to both runs — the figure benches' sampling knob.
+/// Baseline and helper runs of one application, sharing one generation of
+/// its trace. The active sample spec (sample::active_sample_spec(),
+/// HCSIM_SAMPLE_*) is read once per call and applies to both runs — the
+/// figure benches' sampling knob.
 AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
                u64 n_records = 0);
 
-/// One application against several steering configurations (shared trace and
-/// shared baseline run), under the active sample spec read once per call.
+/// One application against several steering configurations (one generation
+/// of the trace, held for the call, and a shared baseline run), under the
+/// active sample spec read once per call.
 struct MultiRun {
   std::string app;
   SimResult baseline;

@@ -260,14 +260,21 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
       logf("daemon unreachable; computing " + std::to_string(pending.size()) +
            " remaining job(s) in-process");
 
+    // Each cell's trace is generated once and held until its last job.
+    TraceHolds holds;
     std::vector<std::function<void()>> local;
     local.reserve(pending.size());
-    for (const JobRequest& req : pending)
-      local.push_back([&, &req = req] {
-        record(job_id(req),
-               simulate_workload(req.config, req.profile, req.n_records, sample_spec),
-               Source::kLocal);
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      holds.add(pending[i].profile, pending[i].n_records);
+      local.push_back([&, i] {
+        const JobRequest& req = pending[i];
+        holds.begin(i);
+        const SimResult res =
+            simulate_workload(req.config, req.profile, req.n_records, sample_spec);
+        holds.end(i);
+        record(job_id(req), res, Source::kLocal);
       });
+    }
     exp::run_batch(local, threads, nullptr);
   }
 

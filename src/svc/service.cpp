@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 
@@ -47,6 +48,14 @@ bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
     }
   }
 
+  // Each distinct trace is held from the first job that reads it to the
+  // last, so the batch generates it once and frees it as soon as it is done.
+  TraceHolds holds;
+  for (const JobRequest& req : reqs) holds.add(req.profile, req.n_records);
+  // Set once the stream is lost with no journal to keep results for the
+  // re-submission: jobs that have not started yet have nowhere to go.
+  std::atomic<bool> skip_rest{false};
+  std::atomic<u64> skipped{0};
   std::vector<JobResponse> resps(reqs.size());
   std::vector<std::function<void()>> jobs;
   jobs.reserve(reqs.size());
@@ -54,23 +63,30 @@ bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
     jobs.push_back([&, i] {
       const JobRequest& req = reqs[i];
       JobResponse& resp = resps[i];
+      if (skip_rest.load()) {
+        ++skipped;
+        holds.end(i);
+        return;
+      }
       resp.job_id = job_id(req);
       resp.from_journal = journal_.lookup(resp.job_id, resp.result);
       if (!resp.from_journal) {
+        holds.begin(i);
         // The crash the journal exists to survive: abort() between jobs, at
         // a deterministic index, with everything before it already durable.
         if (fault::enabled() && fault::fire("job.abort")) std::abort();
         resp.result = simulate_workload(req.config, req.profile, req.n_records, specs[i]);
         journal_.append(resp.job_id, resp.result);
       }
+      holds.end(i);
     });
   // Results go out on this thread, so a pool worker never waits on a slow
   // reader, and each is journaled before it is sent.
   bool stream_ok = true;
   exp::run_batch(jobs, pool_.size(), &pool_, [&](std::size_t i) {
-    // A dead stream stops sending but NOT simulating: the remainder keeps
-    // landing in the journal, so the client's re-submission after
-    // reconnect is served as pure journal hits.
+    // With a journal, a dead stream stops sending but NOT simulating: the
+    // remainder keeps landing in the journal, so the client's
+    // re-submission after reconnect is served as pure journal hits.
     const JobResponse resp = std::move(resps[i]);
     if (!stream_ok) return;
     if (on_result(resp)) {
@@ -78,11 +94,15 @@ bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
       if (resp.from_journal) ++outcome.journal_hits;
     } else {
       stream_ok = false;
+      if (!journal_.valid()) skip_rest.store(true);
     }
   });
 
+  outcome.skipped = skipped.load();
   outcome.stream_lost = !stream_ok;
-  if (!stream_ok) error = "client connection lost mid-batch";
+  if (!stream_ok)
+    error = "client connection lost mid-batch; " + std::to_string(outcome.skipped) +
+            " job(s) skipped";
   return stream_ok;
 }
 

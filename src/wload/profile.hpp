@@ -74,6 +74,9 @@ struct WorkloadProfile {
   /// narrow value (byte compares) rather than a wide one (pointer
   /// compares). Narrow flags producers are what the BR scheme chases.
   double p_narrow_flags = 0.70;
+
+  /// Every field: two profiles generate the same trace when they are equal.
+  bool operator==(const WorkloadProfile&) const = default;
 };
 
 /// The 12 SPEC Int 2000 benchmarks of the paper's detailed evaluation.

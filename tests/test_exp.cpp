@@ -239,6 +239,31 @@ TEST(Runner, BaselineSharedAcrossVariantsOfOneApp) {
   EXPECT_EQ(r.points[0].baseline.config, "baseline");
 }
 
+TEST(Runner, SweepHoldsAtMostTwoTracesPerThread) {
+  // The cumulative ladder: 12 cells of 8 configs. Cells run in waves of
+  // `threads`, and each cell's trace is held from its first job to its
+  // last, so at most two waves of traces are alive at once; every cell
+  // generates its trace once, and none is left after the sweep, so the
+  // same sweep again generates every trace again.
+  SweepSpec spec = *find_sweep("cumulative");
+  spec.trace_lens = {3001};  // a length no other test pins
+  constexpr unsigned kThreads = 2;
+  RunOptions opts;
+  opts.threads = kThreads;
+  std::size_t most_live = 0;
+  opts.on_point = [&](const PointResult&, u64, u64) {
+    most_live = std::max(most_live, trace_cache_stats().live);
+  };
+  for (int run = 0; run < 2; ++run) {
+    const u64 generated = trace_cache_stats().generated;
+    const SweepResult r = run_sweep(spec, opts);
+    EXPECT_EQ(r.points.size(), 12u * 7u);
+    EXPECT_LE(most_live, 2u * kThreads) << run;
+    EXPECT_EQ(trace_cache_stats().live, 0u) << run;
+    EXPECT_EQ(trace_cache_stats().generated - generated, 12u) << run;
+  }
+}
+
 TEST(Runner, CellPassMatchesPerPointRuns) {
   // Above a lowered stream threshold a sampled sweep feeds several configs
   // of a cell from one record stream: the generator for fig12 (12 cells of

@@ -17,6 +17,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -350,6 +351,28 @@ TEST_F(FaultRecoveryTest, NoFallbackFailsWithTransportStatusWhenDaemonIsDead) {
   EXPECT_EQ(stats.local_jobs, stats.jobs);
   EXPECT_EQ(exp::to_csv(result),
             exp::to_csv(exp::run_sweep(spec, exp::RunOptions{})));
+}
+
+TEST_F(FaultRecoveryTest, LocalFallbackGeneratesEachCellOnce) {
+  // No daemon: every job runs in-process, and each cell's trace is held
+  // from its first job to its last, so it is generated once per cell, not
+  // once per job, and freed when the sweep is done. One thread runs the
+  // jobs one after another, so no job of a cell overlaps the next.
+  exp::SweepSpec spec = small_spec();
+  spec.trace_lens = {2001};  // a length no other test pins
+  std::set<std::string> cells;
+  for (const exp::ExperimentPoint& p : exp::expand(spec)) cells.insert(p.profile.name);
+  FtSweepOptions opts;
+  opts.threads = 1;
+  exp::SweepResult result;
+  FtSweepStats stats;
+  std::string error;
+  const u64 generated = trace_cache_stats().generated;
+  ASSERT_EQ(run_sweep_ft(spec, opts, result, stats, error), FtStatus::kOk) << error;
+  EXPECT_EQ(stats.local_jobs, stats.jobs);
+  EXPECT_GT(stats.jobs, cells.size());
+  EXPECT_EQ(trace_cache_stats().generated - generated, cells.size());
+  EXPECT_EQ(trace_cache_stats().live, 0u);
 }
 
 /// Forked daemon for abort()-style crash tests: an in-thread daemon cannot

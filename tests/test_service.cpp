@@ -32,6 +32,7 @@
 #include "svc/daemon.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
+#include "util/faultpoint.hpp"
 
 namespace hcsim::svc {
 namespace {
@@ -261,6 +262,96 @@ TEST(SweepService, ConcurrentBatchesMatchSerialCalls) {
   EXPECT_EQ(both_full, serial_full);
   EXPECT_EQ(both_sampled, serial_sampled);
   EXPECT_NE(serial_full, serial_sampled);
+}
+
+TEST(SweepService, EachJobReadsItsOwnProfilesTrace) {
+  // gcc, then gcc with other knobs under the same name and seed, then gcc
+  // again: on one worker the first gcc trace is held while the second
+  // profile's job runs, and that job must not be handed it.
+  JobRequest stock;
+  stock.config = exp::SweepSpec().baseline;
+  stock.profile = spec_profile("gcc");
+  stock.n_records = 20000;
+  JobRequest knobs = stock;
+  knobs.profile.p_store = 0.0;
+  knobs.profile.w_fp_chain = 2.0;
+  knobs.profile.num_loops = 3;
+  JobRequest stock_helper = stock;
+  stock_helper.config = helper_machine(steering_888());
+  const std::vector<JobRequest> reqs = {stock, knobs, stock_helper};
+  SweepService service(/*threads=*/1);
+  const std::map<u64, std::vector<u8>> got = run_encoded(service, reqs);
+  ASSERT_EQ(got.size(), reqs.size());
+  for (const JobRequest& req : reqs)
+    EXPECT_EQ(got.at(job_id(req)),
+              encoded(simulate_streamed(req.config, req.profile, req.n_records)))
+        << "p_store=" << req.profile.p_store;
+}
+
+TEST(SweepService, BatchGeneratesEachTraceOnceAndKeepsNone) {
+  // Batches one after the other, each over two cells (gcc and mcf at its
+  // own seed) of three configs: each batch generates each of its traces
+  // once, and none is left alive after it, so the third batch, a repeat of
+  // the first, generates its traces again.
+  SweepService service(/*threads=*/2);
+  for (u64 seed : {4301, 4302, 4301}) {
+    std::vector<JobRequest> reqs;
+    for (const char* app : {"gcc", "mcf"})
+      for (const MachineConfig& cfg :
+           {monolithic_baseline(), helper_machine(steering_888()),
+            helper_machine(steering_ir())}) {
+        JobRequest req;
+        req.config = cfg;
+        req.profile = spec_profile(app);
+        req.profile.seed = seed;
+        req.n_records = 3000;
+        reqs.push_back(req);
+      }
+    const u64 generated = trace_cache_stats().generated;
+    EXPECT_EQ(run_encoded(service, reqs).size(), reqs.size());
+    EXPECT_EQ(trace_cache_stats().live, 0u) << seed;
+    EXPECT_EQ(trace_cache_stats().generated - generated, 2u) << seed;
+  }
+}
+
+TEST(SweepService, LostStreamWithoutAJournalSkipsTheRest) {
+  // The job.abort fault point counts fresh simulations; armed at a hit the
+  // test never reaches, it only counts.
+  std::vector<JobRequest> reqs;
+  for (u64 i = 0; i < 12; ++i) reqs.push_back(job_sampled(1500 + i, 0, 0, 0));
+  const auto lose_stream = [&](SweepService& service) {
+    fault::set_schedule("job.abort:1000000");
+    int sent = 0;
+    SweepService::BatchOutcome outcome;
+    std::string error;
+    EXPECT_FALSE(service.run_jobs(
+        reqs,
+        [&](const JobResponse&) {
+          ++sent;
+          return false;
+        },
+        outcome, error));
+    EXPECT_TRUE(outcome.stream_lost);
+    EXPECT_EQ(sent, 1);
+    const u64 simulated = fault::hits("job.abort");
+    fault::set_schedule("");
+    EXPECT_EQ(simulated + outcome.skipped, reqs.size());
+    return simulated;
+  };
+  // No journal: the results have nowhere to go. On one worker the first
+  // job ran, and at most the one queued while its result was handed over.
+  SweepService bare(/*threads=*/1);
+  EXPECT_LE(lose_stream(bare), 2u);
+  // With a journal every job still runs, for the client's re-submission.
+  const std::string dir = "/tmp/hcsim_skip_test_" + std::to_string(::getpid());
+  {
+    SweepService journaled(/*threads=*/1, dir);
+    ASSERT_EQ(journaled.journal_error(), "");
+    EXPECT_EQ(lose_stream(journaled), reqs.size());
+    EXPECT_EQ(journaled.journal().size(), reqs.size());
+  }
+  ::unlink((dir + "/daemon.journal").c_str());
+  ::rmdir(dir.c_str());
 }
 
 // --- daemon -------------------------------------------------------------------
