@@ -36,7 +36,7 @@ start_daemon() {  # start_daemon <log> [env VAR=VAL ...]
 # Ground truth: the smoke grid, in-process, no journals.
 "$SWEEP" smoke --len 3000 --quiet --csv "$WORK_DIR/clean.csv" > /dev/null
 
-# --- deterministic crash: abort() before the 5th fresh job -------------------
+# --- deterministic crash: abort() after the 5th fresh simulation ------------
 start_daemon "$WORK_DIR/crash1.log" HCSIM_FAULT=job.abort:5
 
 "$SWEEP" smoke --len 3000 --quiet --csv "$WORK_DIR/crash.csv" \

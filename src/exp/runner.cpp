@@ -1,5 +1,6 @@
 #include "exp/runner.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <optional>
@@ -110,41 +111,131 @@ void run_batch(const std::vector<std::function<void()>>& jobs, unsigned threads,
   }
 }
 
+// --- the executor -----------------------------------------------------------
+
+CellGrid sweep_cells(const SweepSpec& spec, const std::vector<ExperimentPoint>& points,
+                     const sample::SampleSpec& sampling) {
+  std::map<std::tuple<u32, u32, u32>, std::size_t> cell_of;
+  CellGrid grid;
+  for (const ExperimentPoint& p : points) {
+    const auto key = std::make_tuple(p.workload_idx, p.seed_idx, p.len_idx);
+    auto [it, inserted] = cell_of.emplace(key, grid.cells.size());
+    if (inserted) {
+      grid.cells.push_back({p.profile, p.n_records, sampling, {spec.baseline}});
+      grid.points.emplace_back();
+    }
+    grid.cells[it->second].configs.push_back(p.variant.machine);
+    grid.points[it->second].push_back(p.index);
+  }
+  return grid;
+}
+
+void simulate_cells(
+    const std::vector<SweepCell>& cells, unsigned threads, ThreadPool* pool,
+    const std::function<void(std::size_t c, std::size_t k, SimResult&& result)>& on_result,
+    const std::function<bool(std::size_t c, std::size_t k)>& on_done) {
+  // A sampled cell whose trace is streamed shares a pass between configs
+  // (sample::simulate_configs): seeking between windows still interprets
+  // every skipped record, about 15 per simulated one at paper scale, so
+  // generating the trace once per job instead of once per config saves most
+  // of the time. Such a cell's configs are split into just enough jobs that
+  // the call has two per thread, so a few long cells still fill the pool,
+  // and into passes of at most kMaxPassConfigs, so a daemon batch of many
+  // configs on one trace neither builds a pipeline for each at once nor
+  // keeps another batch waiting behind one long job.
+  // Every other cell runs one job per config: a cached trace is already
+  // shared, and a full streamed run spends too little on generation to pay
+  // for K pipelines fed in turn (sharing passes, the cached ladder benchmark
+  // ran 5% slower with 16% more peak RSS, and a streamed 1M-µop
+  // helper_design sweep at 4 threads 25% slower).
+  const u64 threshold = stream_threshold();
+  const auto shares_pass = [threshold](const SweepCell& cell) {
+    return cell.spec.enabled() && cell.n_records > threshold;
+  };
+  const std::size_t workers = pool ? pool->size() : std::max(1u, threads);
+  std::size_t shared = 0;
+  for (const SweepCell& cell : cells) shared += shares_pass(cell);
+  const std::size_t shared_jobs = shared ? (2 * workers + shared - 1) / shared : 1;
+
+  // A cached cell's trace: generated by its first job to start, dropped by
+  // its last to end. Streamed cells take no hold.
+  struct Hold {
+    std::once_flag acquired;
+    TraceHandle trace;
+    std::atomic<std::size_t> jobs_left{0};
+  };
+  std::vector<Hold> holds(cells.size());
+  struct Job {
+    std::size_t c, lo, hi;  // configs [lo, hi) of cells[c]
+    bool ran = false;       // read by on_done after run_batch's hand-off
+  };
+  std::vector<Job> jobs;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const std::size_t k = cells[c].configs.size();
+    const std::size_t n =
+        shares_pass(cells[c])
+            ? std::max(std::min(k, shared_jobs), (k + kMaxPassConfigs - 1) / kMaxPassConfigs)
+            : k;
+    for (std::size_t j = 0; j < n; ++j) jobs.push_back({c, j * k / n, (j + 1) * k / n});
+    if (cells[c].n_records <= threshold) holds[c].jobs_left = n;
+  }
+
+  std::atomic<bool> stop{false};  // on_done returned false: unstarted jobs skip
+  std::vector<std::function<void()>> fns;
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    fns.push_back([&, i] {
+      Job& job = jobs[i];
+      const SweepCell& cell = cells[job.c];
+      Hold& hold = holds[job.c];
+      const bool cached = cell.n_records <= threshold;
+      if (!stop.load()) {
+        if (cached)
+          std::call_once(hold.acquired,
+                         [&] { hold.trace = acquire_trace(cell.profile, cell.n_records); });
+        if (job.hi - job.lo == 1) {
+          on_result(job.c, job.lo, simulate_workload(cell.configs[job.lo], cell.profile,
+                                                     cell.n_records, cell.spec));
+        } else {
+          std::vector<sample::SampledResult> runs = sample::simulate_configs(
+              std::span<const MachineConfig>(cell.configs).subspan(job.lo, job.hi - job.lo),
+              cell.profile, cell.n_records, cell.spec);
+          for (std::size_t k = job.lo; k < job.hi; ++k)
+            on_result(job.c, k, std::move(runs[k - job.lo].total));
+        }
+        job.ran = true;
+      }
+      if (cached && hold.jobs_left.fetch_sub(1) == 1) hold.trace.reset();
+    });
+  std::function<void(std::size_t)> done;
+  if (on_done)
+    done = [&](std::size_t i) {
+      for (std::size_t k = jobs[i].lo; jobs[i].ran && k < jobs[i].hi; ++k)
+        if (!on_done(jobs[i].c, k)) stop.store(true);
+    };
+  run_batch(fns, threads, pool, done);
+}
+
+PointResult make_point(const ExperimentPoint& point, SimResult baseline, SimResult sim,
+                       const MachineConfig& baseline_machine) {
+  PointResult pr;
+  pr.point = point;
+  pr.power_baseline = analyze_power(baseline, baseline_machine);
+  pr.power_sim = analyze_power(sim, point.variant.machine);
+  pr.baseline = std::move(baseline);
+  pr.sim = std::move(sim);
+  return pr;
+}
+
 // --- run_sweep --------------------------------------------------------------
 
 SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
   const auto t0 = std::chrono::steady_clock::now();
-  const sample::SampleSpec sampling = sample::active_sample_spec();
-
   unsigned threads = opts.threads;
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   if (opts.pool) threads = opts.pool->size();
 
   const std::vector<ExperimentPoint> points = expand(spec);
-
-  // Cells: one per unique (workload, seed, length) combination. Config 0 of
-  // a cell is the baseline, shared by every variant point of the cell;
-  // config i > 0 is the variant of the cell's point i - 1.
-  struct Cell {
-    const WorkloadProfile* profile = nullptr;
-    u64 n_records = 0;
-    std::vector<const ExperimentPoint*> points;
-    std::size_t n_jobs = 0;
-    std::vector<SimResult> sims;  // per config, filled by the cell's jobs
-    PowerReport power;            // of the baseline
-    // Guarded by progress_mu: set once sims[0] and power are final, and the
-    // variant configs that finished before that.
-    bool baseline_done = false;
-    std::vector<std::size_t> waiting;
-  };
-  std::map<std::tuple<u32, u32, u32>, u32> cell_of;
-  std::vector<Cell> cells;
-  for (const ExperimentPoint& p : points) {
-    const auto key = std::make_tuple(p.workload_idx, p.seed_idx, p.len_idx);
-    auto [it, inserted] = cell_of.emplace(key, static_cast<u32>(cells.size()));
-    if (inserted) cells.push_back({&p.profile, p.n_records, {}, 0, {}, {}, false, {}});
-    cells[it->second].points.push_back(&p);
-  }
+  const CellGrid grid = sweep_cells(spec, points, sample::active_sample_spec());
 
   // Results land in their index slot, so the collected vector is in grid
   // order no matter the completion order.
@@ -153,106 +244,32 @@ SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts) {
   result.threads_used = threads;
   result.points.resize(points.size());
 
+  // A point is reported by whichever of its two simulations, its cell's
+  // baseline or its own variant (parked in its slot), arrives second.
+  std::vector<SimResult> baselines(grid.cells.size());
+  std::vector<std::atomic<int>> arrivals_left(points.size());
+  for (std::atomic<int>& left : arrivals_left) left.store(2);
   std::mutex progress_mu;
   u64 done = 0;
-  // Report variant config i of `cell` as its point; the baseline is done.
-  const auto finish_point = [&](Cell& cell, std::size_t i) {
-    const ExperimentPoint& p = *cell.points[i - 1];
-    PointResult pr;
-    pr.point = p;
-    pr.baseline = cell.sims[0];
-    pr.power_baseline = cell.power;
-    pr.sim = std::move(cell.sims[i]);
-    pr.power_sim = analyze_power(pr.sim, p.variant.machine);
-    result.points[p.index] = std::move(pr);
+  const auto arrive = [&](std::size_t c, u32 i) {
+    if (arrivals_left[i].fetch_sub(1) != 1) return;
+    PointResult& pr = result.points[i];
+    pr = make_point(points[i], baselines[c], std::move(pr.sim), spec.baseline);
     if (opts.on_point) {
       std::lock_guard<std::mutex> lock(progress_mu);
-      ++done;
-      opts.on_point(result.points[p.index], done, points.size());
+      opts.on_point(pr, ++done, points.size());
     }
   };
-
-  // Every job simulates a contiguous range of one cell's configs from one
-  // pass over the cell's trace. In a sampled sweep, a cell whose trace is
-  // streamed (longer than stream_threshold()) shares a pass between configs
-  // (sample::simulate_configs): seeking between windows still interprets
-  // every skipped record, about 15 per simulated one at paper scale, so
-  // generating the trace once per job instead of once per config saves most
-  // of the sweep's time. Such a cell's configs are split into just enough
-  // jobs that the sweep has two per thread, so a few long cells still fill
-  // the pool. Every other cell runs one job per config: a cached trace is
-  // already shared, held from the cell's first job to its last, and a full
-  // streamed run spends too little on generation to pay for K pipelines fed
-  // in turn (sharing passes, the cached ladder benchmark ran 5% slower with
-  // 16% more peak RSS, and a streamed 1M-µop helper_design sweep at 4
-  // threads 25% slower).
-  const u64 threshold = stream_threshold();
-  const bool sampled = sampling.enabled();
-  const auto shares_pass = [&](const Cell& cell) {
-    return sampled && cell.n_records > threshold;
-  };
-  std::size_t shared = 0;
-  for (const Cell& cell : cells) shared += shares_pass(cell);
-  const std::size_t shared_jobs = shared ? (2 * threads + shared - 1) / shared : 1;
-  for (Cell& cell : cells) {
-    const std::size_t k = cell.points.size() + 1;
-    cell.n_jobs = shares_pass(cell) ? std::min(k, shared_jobs) : k;
-    cell.sims.resize(k);
-  }
-
-  // One job: configs [lo, hi) of `cell`, reading the cell's trace under
-  // the hold of job number `job`.
-  TraceHolds holds;
-  const auto run_job = [&](Cell& cell, std::size_t job, std::size_t lo, std::size_t hi) {
-    holds.begin(job);
-    std::vector<MachineConfig> cfgs;
-    for (std::size_t i = lo; i < hi; ++i)
-      cfgs.push_back(i == 0 ? spec.baseline : cell.points[i - 1]->variant.machine);
-    if (cfgs.size() == 1) {
-      cell.sims[lo] = simulate_workload(cfgs[0], *cell.profile, cell.n_records, sampling);
-    } else {
-      std::vector<sample::SampledResult> runs =
-          sample::simulate_configs(cfgs, *cell.profile, cell.n_records, sampling);
-      for (std::size_t i = lo; i < hi; ++i) cell.sims[i] = std::move(runs[i - lo].total);
-    }
-    holds.end(job);
-    if (lo == 0) cell.power = analyze_power(cell.sims[0], spec.baseline);
-
-    std::vector<std::size_t> ready;
-    {
-      std::lock_guard<std::mutex> lock(progress_mu);
-      if (lo == 0) {
-        cell.baseline_done = true;
-        ready = std::move(cell.waiting);
-      }
-      for (std::size_t i = std::max<std::size_t>(lo, 1); i < hi; ++i)
-        (cell.baseline_done ? ready : cell.waiting).push_back(i);
-    }
-    for (std::size_t i : ready) finish_point(cell, i);
-  };
-
-  // Cells run in waves of `threads`, in grid order. Within a wave, job j of
-  // every cell is queued before job j + 1 of any, so the wave's baselines
-  // (in job 0) run first, each on its own trace, and a variant's point is
-  // reported as soon as both its job and its cell's baseline are done. Jobs
-  // start in queue order with at most `threads` running, so a cell's trace,
-  // held from its first job to its last, lives through about two waves: at
-  // most 2 x threads cached traces are alive at once, not one per cell.
-  std::vector<std::function<void()>> jobs;
-  for (std::size_t w = 0; w < cells.size(); w += threads) {
-    const std::span<Cell> wave(&cells[w], std::min<std::size_t>(threads, cells.size() - w));
-    std::size_t max_jobs = 0;
-    for (const Cell& cell : wave) max_jobs = std::max(max_jobs, cell.n_jobs);
-    for (std::size_t j = 0; j < max_jobs; ++j)
-      for (Cell& cell : wave) {
-        if (j >= cell.n_jobs) continue;
-        const std::size_t k = cell.sims.size();
-        holds.add(*cell.profile, cell.n_records);
-        jobs.push_back([&run_job, &cell, job = jobs.size(), lo = j * k / cell.n_jobs,
-                        hi = (j + 1) * k / cell.n_jobs] { run_job(cell, job, lo, hi); });
-      }
-  }
-  run_batch(jobs, threads, opts.pool);
+  simulate_cells(grid.cells, threads, opts.pool,
+                 [&](std::size_t c, std::size_t k, SimResult&& sim) {
+                   if (k == 0) {
+                     baselines[c] = std::move(sim);
+                     for (u32 i : grid.points[c]) arrive(c, i);
+                   } else {
+                     result.points[grid.points[c][k - 1]].sim = std::move(sim);
+                     arrive(c, grid.points[c][k - 1]);
+                   }
+                 });
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

@@ -5,6 +5,10 @@
 // and results land in a pre-sized vector slot keyed by point index. The
 // collected SweepResult is therefore bit-identical across thread counts —
 // including threads=1, which bypasses the pool entirely (serial fallback).
+//
+// simulate_cells is the one executor: run_sweep, svc::run_sweep_ft's local
+// fallback and the hcsimd service all hand it SweepCells, so all three share
+// a cell's trace and, when sampled and streamed, its record-stream passes.
 #pragma once
 
 #include <condition_variable>
@@ -17,6 +21,7 @@
 #include "core/sim_result.hpp"
 #include "exp/sweep.hpp"
 #include "power/power_model.hpp"
+#include "sample/spec.hpp"
 
 namespace hcsim::exp {
 
@@ -110,17 +115,60 @@ struct SweepResult {
 void run_batch(const std::vector<std::function<void()>>& jobs, unsigned threads,
                ThreadPool* pool, const std::function<void(std::size_t)>& on_done = {});
 
+/// One trace under one sample spec (`profile` at `n_records` > 0 µops), and
+/// the machine configs to run on it.
+struct SweepCell {
+  WorkloadProfile profile;
+  u64 n_records = 0;
+  sample::SampleSpec spec;
+  std::vector<MachineConfig> configs;
+};
+
+/// A sweep's grid as cells, and which point each cell's variants belong to.
+struct CellGrid {
+  std::vector<SweepCell> cells;
+  std::vector<std::vector<u32>> points;  // cells[c].configs[k + 1] is points[c][k]'s variant
+};
+
+/// One cell per (workload, seed, length) of `points` (expand(spec)), in grid
+/// order, under `sampling`: the baseline, then each point's variant.
+CellGrid sweep_cells(const SweepSpec& spec, const std::vector<ExperimentPoint>& points,
+                     const sample::SampleSpec& sampling);
+
+/// The most configs one shared pass (sample::simulate_configs) runs: the
+/// largest built-in cell, the baseline and the seven variants of
+/// cumulative, rv and helper_design. A pass builds a pipeline per config
+/// for every window (1.3 MB for the default machine, up to about 10 MB),
+/// so the cap bounds a job's memory and length whatever cells a daemon
+/// batch brings.
+inline constexpr std::size_t kMaxPassConfigs = 8;
+
+/// Simulate every config of every cell on run_batch(threads, pool), jobs in
+/// cell order. A sampled cell whose trace is streamed (longer than
+/// stream_threshold()) runs ranges of its configs from one pass
+/// (sample::simulate_configs), two jobs per thread over all such cells but
+/// at most kMaxPassConfigs configs per pass; any other cell runs one job
+/// per config. A cached cell's trace is held from its first job's start to
+/// its last job's end, so at most threads + 1 are alive. on_result(c, k,
+/// result) runs on the worker that finished config k of cell c, while the
+/// trace is held; on_done(c, k), if set, then runs on the calling thread in
+/// completion order, and once it returns false, simulations not yet
+/// started are skipped and get neither callback.
+void simulate_cells(
+    const std::vector<SweepCell>& cells, unsigned threads, ThreadPool* pool,
+    const std::function<void(std::size_t c, std::size_t k, SimResult&& result)>& on_result,
+    const std::function<bool(std::size_t c, std::size_t k)>& on_done = {});
+
+/// `point`'s result from its cell's baseline run and its own, with both
+/// power reports: the one place a sweep analyses power.
+PointResult make_point(const ExperimentPoint& point, SimResult baseline, SimResult sim,
+                       const MachineConfig& baseline_machine);
+
 /// Execute every point of the sweep under the active sample spec
-/// (sample::active_sample_spec(), read once at entry). Baseline simulations
-/// are shared: one per unique (workload, seed, length) cell, not one per
-/// point. Each of a cell's configs (the baseline and every variant) is its
-/// own job, except in a sampled sweep on a streamed trace (longer than
-/// stream_threshold()): there a job runs a range of the cell's configs one
-/// after another from a single pass over the trace
-/// (sample::simulate_configs), with just enough jobs per cell for two per
-/// thread. Cells run in waves of one per thread, in grid order, and a
-/// cell's cached trace is generated once and held from its first job to
-/// its last, so at most 2 x threads cached traces are alive at once.
+/// (sample::active_sample_spec(), read once at entry): sweep_cells, then
+/// simulate_cells, so a cell's baseline is simulated once and shared by its
+/// points. A point is reported (on_point) as soon as both its cell's
+/// baseline and its own variant are done.
 SweepResult run_sweep(const SweepSpec& spec, const RunOptions& opts = {});
 
 }  // namespace hcsim::exp

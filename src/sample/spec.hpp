@@ -52,6 +52,7 @@ struct SampleSpec {
 
   /// "warmup=20000 measure=80000 period=auto windows=all"-style summary.
   std::string describe() const;
+  bool operator==(const SampleSpec&) const = default;
 };
 
 /// The first rule an enabled spec breaks, or "" when it breaks none:

@@ -1,6 +1,8 @@
 #include "sim/trace_cache.hpp"
 
 #include <atomic>
+#include <mutex>
+#include <vector>
 
 #include "util/log.hpp"
 #include "wload/executor.hpp"
@@ -113,47 +115,5 @@ u64 stream_threshold() {
 }
 
 TraceCacheStats trace_cache_stats() { return cache().stats(); }
-
-// --- TraceHolds ---------------------------------------------------------------
-
-void TraceHolds::add(const WorkloadProfile& profile, u64 n_records) {
-  if (n_records > threshold_) {
-    key_of_.push_back(kStreamed);
-    return;
-  }
-  // Newest first: a batch lists a key's jobs together.
-  std::size_t k = keys_.size();
-  while (k > 0 && !(keys_[k - 1].n_records == n_records && keys_[k - 1].profile == profile))
-    --k;
-  if (k == 0) {
-    keys_.push_back(Key{profile, n_records, 0, nullptr});
-    k = keys_.size();
-  }
-  ++keys_[k - 1].jobs_left;
-  key_of_.push_back(k - 1);
-}
-
-void TraceHolds::begin(std::size_t job) {
-  const std::size_t k = key_of_.at(job);
-  if (k == kStreamed) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (keys_[k].trace) return;
-  }
-  // Acquired outside mu_, so jobs of other keys generate in parallel; two
-  // jobs of one key racing here get the same trace from the cache.
-  TraceHandle trace = acquire_trace(keys_[k].profile, keys_[k].n_records);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!keys_[k].trace) keys_[k].trace = std::move(trace);
-}
-
-void TraceHolds::end(std::size_t job) {
-  const std::size_t k = key_of_.at(job);
-  if (k == kStreamed) return;
-  TraceHandle last;  // released after mu_: its deleter takes the cache's lock
-  std::lock_guard<std::mutex> lock(mu_);
-  HCSIM_CHECK(keys_[k].jobs_left > 0, "TraceHolds: more end() calls than jobs");
-  if (--keys_[k].jobs_left == 0) last = std::move(keys_[k].trace);
-}
 
 }  // namespace hcsim

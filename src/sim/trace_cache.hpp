@@ -5,15 +5,13 @@
 // copy. The cache gives each key one reference-counted trace: generated once
 // while any handle to it exists, and freed when the last handle drops. Its
 // memory therefore follows the jobs that read it — a sweep or a daemon batch
-// holds each key from its first job to its last (TraceHolds) — instead of
-// growing with every key a process has ever seen. cached_trace() is the one
-// exception: a pinned handle for callers that want a reference for the
-// whole process (figure benches, examples, tests).
+// holds each key from its first job to its last (exp::simulate_cells) —
+// instead of growing with every key a process has ever seen. cached_trace()
+// is the one exception: a pinned handle for callers that want a reference
+// for the whole process (figure benches, examples, tests).
 #pragma once
 
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "trace/trace.hpp"
 #include "wload/profile.hpp"
@@ -48,40 +46,5 @@ struct TraceCacheStats {
   u64 generated = 0;     // traces generated since the process started
 };
 TraceCacheStats trace_cache_stats();
-
-/// Holds on the cached traces of a batch of jobs. Every job's key is
-/// counted before the batch starts (add); a key's trace is then held from
-/// the begin() of the first of its jobs to the end() of the last, so the
-/// key's jobs share one generation and the trace is freed as soon as the
-/// last one ends. A job whose trace is streamed (longer than
-/// stream_threshold() when the holds were made) takes no hold. begin() and
-/// end() may be called from any thread, once each per job, begin() first;
-/// a job that is skipped calls end() alone.
-class TraceHolds {
- public:
-  /// Count one more job, reading `profile`'s trace of `n_records` µops.
-  /// Jobs are numbered 0, 1, ... in the order they are added.
-  void add(const WorkloadProfile& profile, u64 n_records);
-  /// Before job `job` reads its trace: holds it unless a job of its key
-  /// already does.
-  void begin(std::size_t job);
-  /// After job `job` (or in place of a skipped one): the last job of its
-  /// key releases the hold.
-  void end(std::size_t job);
-
- private:
-  struct Key {
-    WorkloadProfile profile;
-    u64 n_records = 0;
-    std::size_t jobs_left = 0;  // guarded by mu_, as is `trace`
-    TraceHandle trace;
-  };
-  static constexpr std::size_t kStreamed = ~std::size_t{0};
-
-  const u64 threshold_ = stream_threshold();
-  std::vector<std::size_t> key_of_;  // per job: index into keys_, or kStreamed
-  std::mutex mu_;
-  std::vector<Key> keys_;
-};
 
 }  // namespace hcsim

@@ -4,17 +4,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
-#include <map>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "power/power_model.hpp"
 #include "sample/spec.hpp"
-#include "sim/simulator.hpp"
 #include "svc/client.hpp"
 #include "svc/journal.hpp"
 #include "util/rng.hpp"
@@ -71,6 +67,7 @@ std::vector<std::vector<JobRequest>> chunk_jobs(const std::vector<JobRequest>& j
 FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
                       exp::SweepResult& out, FtSweepStats& stats,
                       std::string& error) {
+  const auto t0 = std::chrono::steady_clock::now();
   out = exp::SweepResult{};
   stats = FtSweepStats{};
   error.clear();
@@ -97,36 +94,23 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
     return FtStatus::kBadSpec;
   }
 
-  // Expand the grid into content-addressed jobs, mirroring exp::run_sweep:
-  // one baseline job per (workload, seed, len) cell plus one job per point.
-  // Jobs are deduplicated by id — a variant whose machine equals the
-  // baseline collapses onto the cell job.
-
-  std::vector<JobRequest> jobs;        // unique, stable submission order
-  std::unordered_map<u64, u32> job_of;  // id -> index in `jobs`
-  const auto add_job = [&](const MachineConfig& config,
-                           const WorkloadProfile& profile, u64 n_records) {
-    JobRequest req = proto;
-    req.config = config;
-    req.profile = profile;
-    req.n_records = n_records;
-    const u64 id = job_id(req);
-    if (job_of.emplace(id, static_cast<u32>(jobs.size())).second)
-      jobs.push_back(std::move(req));
-    return id;
-  };
-
-  std::map<std::tuple<u32, u32, u32>, u64> cell_job;  // cell key -> job id
-  std::vector<u64> point_baseline_job(points.size());
-  std::vector<u64> point_job(points.size());
-  for (const exp::ExperimentPoint& p : points) {
-    const auto key = std::make_tuple(p.workload_idx, p.seed_idx, p.len_idx);
-    auto it = cell_job.find(key);
-    if (it == cell_job.end())
-      it = cell_job.emplace(key, add_job(spec.baseline, p.profile, p.n_records))
-               .first;
-    point_baseline_job[p.index] = it->second;
-    point_job[p.index] = add_job(p.variant.machine, p.profile, p.n_records);
+  // Every config of every cell is a content-addressed job. Jobs are
+  // deduplicated by id: a variant whose machine equals the baseline
+  // collapses onto the cell's baseline job.
+  const exp::CellGrid grid = exp::sweep_cells(spec, points, sample_spec);
+  std::vector<JobRequest> jobs;       // unique, stable submission order
+  std::vector<std::vector<u64>> ids;  // per cell and config: its job id
+  std::unordered_set<u64> unique;
+  for (const exp::SweepCell& cell : grid.cells) {
+    std::vector<u64>& cell_ids = ids.emplace_back();
+    for (const MachineConfig& config : cell.configs) {
+      JobRequest req = proto;
+      req.config = config;
+      req.profile = cell.profile;
+      req.n_records = cell.n_records;
+      cell_ids.push_back(job_id(req));
+      if (unique.insert(cell_ids.back()).second) jobs.push_back(std::move(req));
+    }
   }
   stats.jobs = jobs.size();
 
@@ -260,43 +244,44 @@ FtStatus run_sweep_ft(const exp::SweepSpec& spec, const FtSweepOptions& opts,
       logf("daemon unreachable; computing " + std::to_string(pending.size()) +
            " remaining job(s) in-process");
 
-    // Each cell's trace is generated once and held until its last job.
-    TraceHolds holds;
-    std::vector<std::function<void()>> local;
-    local.reserve(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      holds.add(pending[i].profile, pending[i].n_records);
-      local.push_back([&, i] {
-        const JobRequest& req = pending[i];
-        holds.begin(i);
-        const SimResult res =
-            simulate_workload(req.config, req.profile, req.n_records, sample_spec);
-        holds.end(i);
-        record(job_id(req), res, Source::kLocal);
-      });
+    // Each cell's still-missing configs, each job once.
+    std::vector<exp::SweepCell> missing;
+    std::vector<std::vector<u64>> missing_ids;
+    std::unordered_set<u64> queued;
+    for (std::size_t c = 0; c < grid.cells.size(); ++c) {
+      const exp::SweepCell& cell = grid.cells[c];
+      missing.push_back({cell.profile, cell.n_records, cell.spec, {}});
+      missing_ids.emplace_back();
+      for (std::size_t k = 0; k < cell.configs.size(); ++k)
+        if (results.count(ids[c][k]) == 0 && queued.insert(ids[c][k]).second) {
+          missing.back().configs.push_back(cell.configs[k]);
+          missing_ids.back().push_back(ids[c][k]);
+        }
     }
-    exp::run_batch(local, threads, nullptr);
+    exp::simulate_cells(missing, threads, nullptr,
+                        [&](std::size_t c, std::size_t k, SimResult&& res) {
+                          record(missing_ids[c][k], res, Source::kLocal);
+                        });
   }
 
   // --- assemble the SweepResult in grid order -----------------------------
   out.sweep = spec.name;
   out.threads_used = threads;
   out.points.resize(points.size());
-  for (const exp::ExperimentPoint& p : points) {
-    const auto base_it = results.find(point_baseline_job[p.index]);
-    const auto sim_it = results.find(point_job[p.index]);
-    if (base_it == results.end() || sim_it == results.end()) {
-      error = "internal: job results missing after execution";
-      return FtStatus::kTransportFailed;
+  for (std::size_t c = 0; c < grid.cells.size(); ++c) {
+    const auto base_it = results.find(ids[c][0]);
+    for (std::size_t k = 1; k < grid.cells[c].configs.size(); ++k) {
+      const auto sim_it = results.find(ids[c][k]);
+      if (base_it == results.end() || sim_it == results.end()) {
+        error = "internal: job results missing after execution";
+        return FtStatus::kTransportFailed;
+      }
+      const exp::ExperimentPoint& p = points[grid.points[c][k - 1]];
+      out.points[p.index] = exp::make_point(p, base_it->second, sim_it->second, spec.baseline);
     }
-    exp::PointResult pr;
-    pr.point = p;
-    pr.baseline = base_it->second;
-    pr.sim = sim_it->second;
-    pr.power_baseline = analyze_power(pr.baseline, spec.baseline);
-    pr.power_sim = analyze_power(pr.sim, p.variant.machine);
-    out.points[p.index] = std::move(pr);
   }
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return FtStatus::kOk;
 }
 

@@ -3,14 +3,13 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <thread>
 
 #include "core/machine_config.hpp"
 #include "sample/spec.hpp"
-#include "sim/simulator.hpp"
 #include "util/faultpoint.hpp"
+#include "wload/program_gen.hpp"
 
 namespace hcsim::svc {
 
@@ -42,63 +41,78 @@ bool SweepService::run_jobs(const std::vector<JobRequest>& reqs,
       error = "job with an unrunnable machine config: " + bad;
       return false;
     }
+    if (const std::string bad = workload_profile_error(req.profile); !bad.empty()) {
+      error = "job with an unrunnable workload profile: " + bad;
+      return false;
+    }
     if (const std::string bad = sample_spec_of(req, specs[i]); !bad.empty()) {
       error = "job with a bad sample spec: " + bad;
       return false;
     }
   }
 
-  // Each distinct trace is held from the first job that reads it to the
-  // last, so the batch generates it once and frees it as soon as it is done.
-  TraceHolds holds;
-  for (const JobRequest& req : reqs) holds.add(req.profile, req.n_records);
-  // Set once the stream is lost with no journal to keep results for the
-  // re-submission: jobs that have not started yet have nowhere to go.
-  std::atomic<bool> skip_rest{false};
-  std::atomic<u64> skipped{0};
-  std::vector<JobResponse> resps(reqs.size());
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i)
-    jobs.push_back([&, i] {
-      const JobRequest& req = reqs[i];
-      JobResponse& resp = resps[i];
-      if (skip_rest.load()) {
-        ++skipped;
-        holds.end(i);
-        return;
-      }
-      resp.job_id = job_id(req);
-      resp.from_journal = journal_.lookup(resp.job_id, resp.result);
-      if (!resp.from_journal) {
-        holds.begin(i);
-        // The crash the journal exists to survive: abort() between jobs, at
-        // a deterministic index, with everything before it already durable.
-        if (fault::enabled() && fault::fire("job.abort")) std::abort();
-        resp.result = simulate_workload(req.config, req.profile, req.n_records, specs[i]);
-        journal_.append(resp.job_id, resp.result);
-      }
-      holds.end(i);
-    });
-  // Results go out on this thread, so a pool worker never waits on a slow
-  // reader, and each is journaled before it is sent.
+  // Journal hits go out first. The fresh jobs are grouped into cells, one
+  // per (profile, length, spec), so the batch generates each trace once
+  // whatever order its jobs arrive in.
   bool stream_ok = true;
-  exp::run_batch(jobs, pool_.size(), &pool_, [&](std::size_t i) {
-    // With a journal, a dead stream stops sending but NOT simulating: the
-    // remainder keeps landing in the journal, so the client's
-    // re-submission after reconnect is served as pure journal hits.
-    const JobResponse resp = std::move(resps[i]);
+  const auto send = [&](const JobResponse& resp) {
     if (!stream_ok) return;
     if (on_result(resp)) {
       ++outcome.completed;
       if (resp.from_journal) ++outcome.journal_hits;
     } else {
       stream_ok = false;
-      if (!journal_.valid()) skip_rest.store(true);
     }
-  });
+  };
+  std::vector<exp::SweepCell> cells;
+  std::vector<std::vector<std::size_t>> req_of;  // per cell and config: index in reqs
+  std::vector<JobResponse> resps(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const JobRequest& req = reqs[i];
+    JobResponse& resp = resps[i];
+    resp.job_id = job_id(req);
+    if (journal_.lookup(resp.job_id, resp.result)) {
+      resp.from_journal = true;
+      send(resp);
+      continue;
+    }
+    // Newest first: a batch usually lists a cell's jobs together.
+    std::size_t c = cells.size();
+    while (c > 0 && !(cells[c - 1].n_records == req.n_records && cells[c - 1].spec == specs[i] &&
+                      cells[c - 1].profile == req.profile))
+      --c;
+    if (c == 0) {
+      cells.push_back({req.profile, req.n_records, specs[i], {}});
+      req_of.emplace_back();
+      c = cells.size();
+    }
+    cells[c - 1].configs.push_back(req.config);
+    req_of[c - 1].push_back(i);
+    ++outcome.skipped;  // until its result is handed over
+  }
 
-  outcome.skipped = skipped.load();
+  // Results are journaled on the worker and go out on this thread, so a
+  // pool worker never waits on a slow reader. With a journal, a dead stream
+  // stops sending but NOT simulating: the remainder keeps landing in the
+  // journal, so the client's re-submission after reconnect is served as
+  // pure journal hits. Without one, jobs not yet started are skipped.
+  exp::simulate_cells(
+      cells, pool_.size(), &pool_,
+      [&](std::size_t c, std::size_t k, SimResult&& result) {
+        // The crash the journal exists to survive: abort() at a
+        // deterministic count, with every result handed over already durable.
+        if (fault::enabled() && fault::fire("job.abort")) std::abort();
+        JobResponse& resp = resps[req_of[c][k]];
+        resp.result = std::move(result);
+        journal_.append(resp.job_id, resp.result);
+      },
+      [&](std::size_t c, std::size_t k) {
+        --outcome.skipped;
+        const JobResponse resp = std::move(resps[req_of[c][k]]);
+        send(resp);
+        return stream_ok || journal_.valid();
+      });
+
   outcome.stream_lost = !stream_ok;
   if (!stream_ok)
     error = "client connection lost mid-batch; " + std::to_string(outcome.skipped) +

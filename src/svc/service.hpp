@@ -44,22 +44,27 @@ class SweepService {
   };
 
   /// Run a batch of self-contained jobs on the pool, each under its own
-  /// sample spec (sample_spec_of). Journaled jobs are served from the
-  /// journal (from_journal set); fresh results are appended to it before
-  /// `on_result` streams them out. `on_result` runs on the calling thread,
-  /// in completion order, so a slow or stalled reader never holds a pool
-  /// worker; returning false (client gone) stops the stream. With a journal
-  /// the remaining jobs still simulate and journal, so the work survives
-  /// for the re-submission; without one, jobs not yet started are skipped
-  /// (outcome.skipped). Safe to call from several threads at once: batches
-  /// take turns on the pool job by job (exp::run_batch), so a batch that
-  /// arrives while another runs starts within about one job. Returns false
-  /// with a diagnostic on bad
-  /// versions, a zero n_records, a sample spec sample::spec_error refuses,
-  /// a machine config the model cannot run (machine_config_error) — all
-  /// checked for every job before any simulates — or a dead result stream.
-  /// Fault point: "job.abort" fires before each fresh simulation and
-  /// abort()s the process — the crash the journal exists to survive.
+  /// sample spec (sample_spec_of). Journaled jobs are answered first, from
+  /// the journal (from_journal set); the fresh ones run on
+  /// exp::simulate_cells, one cell per (profile, length, spec), and each
+  /// result is appended to the journal before `on_result` streams it out.
+  /// `on_result` runs on the calling thread, in completion order, so a slow
+  /// or stalled reader never holds a pool worker; returning false (client
+  /// gone) stops the stream. With a journal the remaining jobs still
+  /// simulate and journal, so the work survives for the re-submission;
+  /// without one, jobs not yet started are skipped (outcome.skipped).
+  /// Safe to call from several threads at once: batches take turns on the
+  /// pool job by job (exp::run_batch), and a job is one config or one
+  /// shared pass of at most exp::kMaxPassConfigs, so a batch that arrives
+  /// while another runs starts within about one job. Returns false
+  /// with a diagnostic on bad versions, a zero n_records, a machine config
+  /// the model cannot run (machine_config_error), a workload profile the
+  /// generator cannot run (workload_profile_error), a sample spec
+  /// sample::spec_error refuses — all checked for every job before any
+  /// simulates — or a dead result stream.
+  /// Fault point: "job.abort" fires after each fresh simulation, before its
+  /// result is journaled, and abort()s the process — the crash the journal
+  /// exists to survive.
   bool run_jobs(const std::vector<JobRequest>& reqs,
                 const std::function<bool(const JobResponse&)>& on_result,
                 BatchOutcome& outcome, std::string& error);

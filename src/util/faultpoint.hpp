@@ -11,7 +11,7 @@
 //
 //   sock.write.reset:5      the 5th write fails with ECONNRESET
 //   sock.read.eintr:1:20    reads 1..20 take a simulated EINTR first
-//   job.abort:7             the service abort()s before running its 7th job
+//   job.abort:7             the service abort()s after its 7th fresh simulation
 //   journal.append.torn:3:0 every append from the 3rd on writes a torn record
 //
 // `nth` is 1-based; `count` defaults to 1 and 0 means "every hit from nth

@@ -1,7 +1,9 @@
 #include "wload/program_gen.hpp"
 
 #include <algorithm>
+#include <string>
 
+#include "rv/kernels.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -331,9 +333,39 @@ class Builder {
   RegId last_wide_ = kRegNone;
 };
 
+// The largest footprints whose array bases stay in their regions: a word
+// span indexes both the word and the pointer region.
+constexpr unsigned kMaxByteFootprintLog2 = 29, kMaxWordFootprintLog2 = 30;
+static_assert(kByteRegionBase + (u64{1} << kMaxByteFootprintLog2) <= kWordRegionBase);
+static_assert(kWordRegionBase + (u64{1} << kMaxWordFootprintLog2) <= kPtrRegionBase);
+static_assert(kPtrRegionBase + (u64{1} << kMaxWordFootprintLog2) <= kRegionLimit);
+// Stock profiles use at most 24 loops of 2-6 chains. Here a program has at
+// most 2 x 1024 loop bodies of 64 chains of at most 9 µops: the largest
+// measured (narrow chains, every optional µop taken) has 1.07M µops, 21 MB.
+constexpr unsigned kMaxLoops = 1024, kMaxBodyChains = 64;
+
 }  // namespace
 
+std::string workload_profile_error(const WorkloadProfile& profile) {
+  if (!profile.rv_kernel.empty() && rv::find_kernel(profile.rv_kernel) == nullptr)
+    return "rv_kernel '" + profile.rv_kernel + "' is not a bundled kernel";
+  if (profile.byte_footprint_log2 > kMaxByteFootprintLog2)
+    return "byte_footprint_log2 must be at most " + std::to_string(kMaxByteFootprintLog2);
+  if (profile.word_footprint_log2 > kMaxWordFootprintLog2)
+    return "word_footprint_log2 must be at most " + std::to_string(kMaxWordFootprintLog2);
+  if (profile.body_chains_min > profile.body_chains_max)
+    return "body_chains_min must not exceed body_chains_max";
+  if (profile.trip_min > profile.trip_max) return "trip_min must not exceed trip_max";
+  if (profile.num_loops > kMaxLoops)
+    return "num_loops must be at most " + std::to_string(kMaxLoops);
+  if (profile.body_chains_max > kMaxBodyChains)
+    return "body_chains_max must be at most " + std::to_string(kMaxBodyChains);
+  return "";
+}
+
 Program generate_program(const WorkloadProfile& profile) {
+  const std::string error = workload_profile_error(profile);
+  HCSIM_CHECK(error.empty(), "unrunnable workload profile: " + error);
   Builder b(profile);
   Program p = b.build();
   HCSIM_CHECK(!p.uops.empty(), "generated empty program");

@@ -9,6 +9,8 @@
 // create inter-cluster copy pressure.
 #pragma once
 
+#include <string>
+
 #include "trace/trace.hpp"
 #include "wload/profile.hpp"
 
@@ -27,7 +29,17 @@ constexpr bool in_word_region(u32 a) { return a >= kWordRegionBase && a < kPtrRe
 constexpr bool in_ptr_region(u32 a) { return a >= kPtrRegionBase && a < kRegionLimit; }
 }  // namespace mem_layout
 
+/// The first rule `profile` breaks that trace generation cannot run with,
+/// or "" if none: rv_kernel is empty or a bundled kernel; footprints keep
+/// every array base in its region (byte_footprint_log2 <= 29,
+/// word_footprint_log2 <= 30); body_chains_min <= body_chains_max and
+/// trip_min <= trip_max; and at most 1024 loops of at most 64 chains, which
+/// caps a program at about 1.2M static µops (24 MB). generate_program
+/// aborts on a failing profile; hcsimd refuses the job.
+std::string workload_profile_error(const WorkloadProfile& profile);
+
 /// Build the static program for `profile`. Deterministic in profile.seed.
+/// Aborts when workload_profile_error names a broken rule.
 Program generate_program(const WorkloadProfile& profile);
 
 }  // namespace hcsim

@@ -17,6 +17,7 @@
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "sample/spec.hpp"
+#include "scoped_env.hpp"
 #include "sim/simulator.hpp"
 
 namespace hcsim::exp {
@@ -239,15 +240,16 @@ TEST(Runner, BaselineSharedAcrossVariantsOfOneApp) {
   EXPECT_EQ(r.points[0].baseline.config, "baseline");
 }
 
-TEST(Runner, SweepHoldsAtMostTwoTracesPerThread) {
-  // The cumulative ladder: 12 cells of 8 configs. Cells run in waves of
-  // `threads`, and each cell's trace is held from its first job to its
-  // last, so at most two waves of traces are alive at once; every cell
-  // generates its trace once, and none is left after the sweep, so the
-  // same sweep again generates every trace again.
+TEST(Runner, SweepHoldsAtMostThreadsPlusOneTraces) {
+  // The cumulative ladder: 12 cells of 8 configs. Each cell's trace is held
+  // from its first job to its last, and jobs start in order with at most
+  // one per thread running, so only the cells of running jobs and the cell
+  // whose jobs have started but not all of them hold a trace; every cell
+  // generates its trace once, and none is left after the sweep, so the same
+  // sweep again generates every trace again.
   SweepSpec spec = *find_sweep("cumulative");
   spec.trace_lens = {3001};  // a length no other test pins
-  constexpr unsigned kThreads = 2;
+  constexpr unsigned kThreads = 4;
   RunOptions opts;
   opts.threads = kThreads;
   std::size_t most_live = 0;
@@ -258,10 +260,89 @@ TEST(Runner, SweepHoldsAtMostTwoTracesPerThread) {
     const u64 generated = trace_cache_stats().generated;
     const SweepResult r = run_sweep(spec, opts);
     EXPECT_EQ(r.points.size(), 12u * 7u);
-    EXPECT_LE(most_live, 2u * kThreads) << run;
+    EXPECT_LE(most_live, kThreads + 1) << run;
     EXPECT_EQ(trace_cache_stats().live, 0u) << run;
     EXPECT_EQ(trace_cache_stats().generated - generated, 12u) << run;
   }
+}
+
+TEST(Runner, SimulateCellsHoldsEachCellsTraceFromItsFirstJobToItsLast) {
+  // One thread runs the jobs one after another: a cached cell, a sampled
+  // cell above the (lowered) stream threshold, and a second cached cell.
+  // While a cached cell's results arrive, its trace and no other is live;
+  // the streamed cell reads the generator and holds nothing.
+  const ScopedEnv threshold("HCSIM_STREAM_THRESHOLD", "5000");
+  sample::SampleSpec sampled;
+  sampled.warmup = 500;
+  sampled.measure = 1000;
+  sampled.period = 2000;
+  const std::vector<MachineConfig> configs = {
+      monolithic_baseline(), helper_machine(steering_888()), helper_machine(steering_ir())};
+  WorkloadProfile a = spec_profile("bzip2"), b = spec_profile("bzip2");
+  a.seed = 4205;  // seeds no other test pins
+  b.seed = 4206;
+  const std::vector<SweepCell> cells = {
+      {a, 2500, {}, configs}, {a, 6000, sampled, configs}, {b, 2500, sampled, configs}};
+  const u64 generated = trace_cache_stats().generated;
+  std::vector<std::size_t> results(cells.size(), 0);
+  simulate_cells(cells, 1, nullptr, [&](std::size_t c, std::size_t k, SimResult&& r) {
+    const SimResult want = simulate_workload(cells[c].configs[k], cells[c].profile,
+                                             cells[c].n_records, cells[c].spec);
+    EXPECT_EQ(r.final_tick, want.final_tick) << c << "/" << k;
+    EXPECT_EQ(r.uops, want.uops) << c << "/" << k;
+    ++results[c];
+    if (c == 1) {
+      EXPECT_EQ(trace_cache_stats().live, 0u) << k;
+      return;
+    }
+    EXPECT_EQ(trace_cache_stats().live, 1u) << c << "/" << k;
+    // The live trace is this cell's: acquiring it generates nothing.
+    const u64 before = trace_cache_stats().generated;
+    acquire_trace(cells[c].profile, cells[c].n_records);
+    EXPECT_EQ(trace_cache_stats().generated, before) << c << "/" << k;
+  });
+  EXPECT_EQ(results, std::vector<std::size_t>(cells.size(), configs.size()));
+  EXPECT_EQ(trace_cache_stats().generated - generated, 2u);
+  EXPECT_EQ(trace_cache_stats().live, 0u);
+}
+
+TEST(Runner, SharedPassesTakeAtMostKMaxPassConfigs) {
+  // One sampled streamed cell of 2 x kMaxPassConfigs + 3 configs, run
+  // inline: two jobs per thread would make passes of 9 and 10 configs, and
+  // the cap makes three of 6, 6 and 7. Inline, a job's results all arrive
+  // (on_result) before they are handed over (on_done), so the runs of
+  // on_result calls between hand-overs are the passes.
+  const ScopedEnv threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  sample::SampleSpec sampled;
+  sampled.warmup = 500;
+  sampled.measure = 1000;
+  sampled.period = 2000;
+  const std::vector<MachineConfig> kinds = {
+      monolithic_baseline(), helper_machine(steering_888()), helper_machine(steering_ir())};
+  SweepCell cell{spec_profile("gcc"), 6000, sampled, {}};
+  for (std::size_t k = 0; k < 2 * kMaxPassConfigs + 3; ++k)
+    cell.configs.push_back(kinds[k % kinds.size()]);
+  std::vector<SimResult> want;
+  for (const MachineConfig& cfg : kinds)
+    want.push_back(simulate_workload(cfg, cell.profile, cell.n_records, sampled));
+
+  std::vector<std::size_t> passes = {0};  // configs per pass; the last is open
+  std::size_t handed = 0;
+  simulate_cells(
+      {cell}, 1, nullptr,
+      [&](std::size_t, std::size_t k, SimResult&& r) {
+        EXPECT_EQ(r.final_tick, want[k % kinds.size()].final_tick) << k;
+        EXPECT_EQ(r.uops, want[k % kinds.size()].uops) << k;
+        ++passes.back();
+      },
+      [&](std::size_t, std::size_t k) {
+        EXPECT_EQ(k, handed++);
+        if (passes.back() > 0) passes.push_back(0);
+        return true;
+      });
+  passes.pop_back();
+  EXPECT_EQ(handed, cell.configs.size());
+  EXPECT_EQ(passes, (std::vector<std::size_t>{6, 6, 7}));
 }
 
 TEST(Runner, CellPassMatchesPerPointRuns) {
@@ -271,9 +352,7 @@ TEST(Runner, CellPassMatchesPerPointRuns) {
   // split a cell's configs over 1, 2, 3 or 4 jobs; an unsampled sweep runs
   // one job per config. Either way the CSV must equal the one assembled
   // from separate simulate_workload calls per cell baseline and per point.
-  const char* old_threshold = std::getenv("HCSIM_STREAM_THRESHOLD");
-  const std::string saved = old_threshold ? old_threshold : "";
-  setenv("HCSIM_STREAM_THRESHOLD", "1000", 1);
+  const ScopedEnv threshold("HCSIM_STREAM_THRESHOLD", "1000");
   sample::SampleSpec sampling;
   sampling.warmup = 500;
   sampling.measure = 1500;
@@ -316,10 +395,6 @@ TEST(Runner, CellPassMatchesPerPointRuns) {
   }
 
   sample::set_active_sample_spec(sample::SampleSpec{});
-  if (old_threshold)
-    setenv("HCSIM_STREAM_THRESHOLD", saved.c_str(), 1);
-  else
-    unsetenv("HCSIM_STREAM_THRESHOLD");
 }
 
 // --- reporting --------------------------------------------------------------

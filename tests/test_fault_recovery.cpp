@@ -26,6 +26,8 @@
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "rv/kernels.hpp"
+#include "sample/spec.hpp"
+#include "scoped_env.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
@@ -375,6 +377,43 @@ TEST_F(FaultRecoveryTest, LocalFallbackGeneratesEachCellOnce) {
   EXPECT_EQ(trace_cache_stats().live, 0u);
 }
 
+TEST_F(FaultRecoveryTest, LocalFallbackSharesSampledStreamedPasses) {
+  // No daemon, a sampled smoke grid above a lowered stream threshold: the
+  // fallback runs each cell's configs from shared record-stream passes, on
+  // four threads, and its CSV must equal both run_sweep's and the one
+  // assembled from per-job simulate_workload runs.
+  const ScopedEnv threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  exp::SweepSpec spec = small_spec();
+  spec.trace_lens = {12000};
+  FtSweepOptions opts;
+  opts.threads = 4;
+  opts.sampled = true;
+  opts.warmup = 500;
+  opts.measure = 1500;
+  opts.period = 4000;
+  sample::SampleSpec sampling;
+  sampling.warmup = opts.warmup;
+  sampling.measure = opts.measure;
+  sampling.period = opts.period;
+
+  exp::SweepResult result;
+  FtSweepStats stats;
+  std::string error;
+  ASSERT_EQ(run_sweep_ft(spec, opts, result, stats, error), FtStatus::kOk) << error;
+  EXPECT_EQ(stats.local_jobs, stats.jobs);
+
+  exp::SweepResult per_job;
+  for (const exp::ExperimentPoint& p : exp::expand(spec))
+    per_job.points.push_back(exp::make_point(
+        p, simulate_workload(spec.baseline, p.profile, p.n_records, sampling),
+        simulate_workload(p.variant.machine, p.profile, p.n_records, sampling),
+        spec.baseline));
+  EXPECT_EQ(exp::to_csv(result), exp::to_csv(per_job));
+  sample::set_active_sample_spec(sampling);
+  EXPECT_EQ(exp::to_csv(result), exp::to_csv(exp::run_sweep(spec, exp::RunOptions{})));
+  sample::set_active_sample_spec(sample::SampleSpec{});
+}
+
 /// Forked daemon for abort()-style crash tests: an in-thread daemon cannot
 /// abort without taking the test down with it.
 pid_t spawn_daemon(const std::string& sock, const std::string& jdir,
@@ -407,8 +446,9 @@ TEST_F(FaultRecoveryTest, DaemonAbortAtJobKThenRestartMatchesByteForByte) {
   const std::string cdir1 = unique_path("abort1", ".cdir");
   const std::string cdir2 = unique_path("abort2", ".cdir");
 
-  // Phase 1: the daemon abort()s right before simulating its 5th fresh job
-  // — everything before it is already durable in its journal. The client
+  // Phase 1: the daemon abort()s right after simulating its 5th fresh job,
+  // before journaling it — every result it handed over before is already
+  // durable in its journal. The client
   // rides the transport failure into the in-process fallback and still
   // produces the exact CSV.
   const pid_t crashing = spawn_daemon(sock, ddir, "job.abort:5");

@@ -2,8 +2,12 @@
 // termination, determinism and profile coverage.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string>
+#include <utility>
 
+#include "rv/kernels.hpp"
 #include "wload/executor.hpp"
 #include "wload/profile.hpp"
 #include "wload/program_gen.hpp"
@@ -133,6 +137,60 @@ TEST(ProgramGen, EmptyProfileStillGeneratesOneLoop) {
   p.num_loops = 0;  // clamped to 1
   const Program prog = generate_program(p);
   EXPECT_FALSE(prog.uops.empty());
+}
+
+TEST(ProgramGen, StockProfilesAreRunnable) {
+  ASSERT_EQ(spec_int_2000_profiles().size(), 12u);
+  for (const WorkloadProfile& p : spec_int_2000_profiles())
+    EXPECT_EQ(workload_profile_error(p), "") << p.name;
+  for (const WorkloadCategory& cat : workload_categories())
+    for (unsigned i = 0; i < cat.num_traces; ++i)
+      EXPECT_EQ(workload_profile_error(category_app_profile(cat, i)), "") << cat.name << i;
+  for (const WorkloadProfile& p : rv::rv_workload_profiles())
+    EXPECT_EQ(workload_profile_error(p), "") << p.name;
+}
+
+/// gcc with one field changed.
+WorkloadProfile gcc_with(void (*change)(WorkloadProfile&)) {
+  WorkloadProfile p = spec_profile("gcc");
+  change(p);
+  return p;
+}
+
+TEST(ProgramGen, EachProfileRuleHasItsOwnMessage) {
+  const std::pair<void (*)(WorkloadProfile&), const char*> broken[] = {
+      {[](WorkloadProfile& p) { p.rv_kernel = "no_such_kernel"; }, "rv_kernel"},
+      {[](WorkloadProfile& p) { p.byte_footprint_log2 = 30; }, "byte_footprint_log2"},
+      {[](WorkloadProfile& p) { p.word_footprint_log2 = 31; }, "word_footprint_log2"},
+      {[](WorkloadProfile& p) { p.body_chains_min = p.body_chains_max + 1; }, "body_chains_min"},
+      {[](WorkloadProfile& p) { p.trip_min = p.trip_max + 1; }, "trip_min"},
+      {[](WorkloadProfile& p) { p.num_loops = 1025; }, "num_loops"},
+      {[](WorkloadProfile& p) { p.body_chains_max = 65; }, "body_chains_max must"},
+  };
+  std::set<std::string> messages;
+  for (const auto& [change, rule] : broken) {
+    const std::string error = workload_profile_error(gcc_with(change));
+    EXPECT_EQ(error.rfind(rule, 0), 0u) << rule << ": " << error;
+    messages.insert(error);
+  }
+  EXPECT_EQ(messages.size(), std::size(broken));
+
+  // Each bound itself is runnable.
+  const std::pair<void (*)(WorkloadProfile&), const char*> edges[] = {
+      {[](WorkloadProfile& p) { p.rv_kernel = "crc32"; }, "rv_kernel"},
+      {[](WorkloadProfile& p) { p.byte_footprint_log2 = 29; }, "byte_footprint_log2"},
+      {[](WorkloadProfile& p) { p.word_footprint_log2 = 30; }, "word_footprint_log2"},
+      {[](WorkloadProfile& p) { p.body_chains_min = p.body_chains_max; }, "body_chains_min"},
+      {[](WorkloadProfile& p) { p.trip_min = p.trip_max; }, "trip_min"},
+      {[](WorkloadProfile& p) { p.num_loops = 1024; }, "num_loops"},
+      {[](WorkloadProfile& p) { p.body_chains_max = 64; }, "body_chains_max"},
+  };
+  for (const auto& [change, rule] : edges) EXPECT_EQ(workload_profile_error(gcc_with(change)), "") << rule;
+}
+
+TEST(ProgramGenDeath, UnrunnableProfileAborts) {
+  const WorkloadProfile p = gcc_with([](WorkloadProfile& q) { q.word_footprint_log2 = 40; });
+  EXPECT_DEATH(generate_program(p), "unrunnable workload profile: word_footprint_log2");
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 
 #include "exp/sweep.hpp"
 #include "rv/kernels.hpp"
+#include "scoped_env.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
@@ -354,6 +355,125 @@ TEST(SweepService, LostStreamWithoutAJournalSkipsTheRest) {
   ::rmdir(dir.c_str());
 }
 
+TEST(SweepService, InterleavedBatchGeneratesEachTraceOnce) {
+  // Jobs of two traces, interleaved A, B, A, B, on one worker: the batch
+  // groups them per trace, so it generates two traces, not four.
+  std::vector<JobRequest> reqs;
+  for (const MachineConfig& cfg : {monolithic_baseline(), helper_machine(steering_888())})
+    for (const char* app : {"gcc", "mcf"}) {
+      JobRequest req;
+      req.config = cfg;
+      req.profile = spec_profile(app);
+      req.profile.seed = 4303;  // a seed no other test pins
+      req.n_records = 3000;
+      reqs.push_back(req);
+    }
+  SweepService service(/*threads=*/1);
+  const u64 generated = trace_cache_stats().generated;
+  const std::map<u64, std::vector<u8>> got = run_encoded(service, reqs);
+  EXPECT_EQ(trace_cache_stats().generated - generated, 2u);
+  EXPECT_EQ(trace_cache_stats().live, 0u);
+  for (const JobRequest& req : reqs)
+    EXPECT_EQ(got.at(job_id(req)),
+              encoded(simulate_workload(req.config, req.profile, req.n_records,
+                                        sample::SampleSpec{})));
+}
+
+TEST(SweepService, JournalHitsAreAnsweredFirst) {
+  // [fresh, hit, fresh, hit] on a journaled service: both hits are streamed
+  // before either fresh job's result.
+  const std::string dir = "/tmp/hcsim_hits_first_test_" + std::to_string(::getpid());
+  const std::vector<JobRequest> reqs = {job_sampled(1600, 0, 0, 0), job_sampled(1700, 0, 0, 0),
+                                        job_sampled(1800, 0, 0, 0), job_sampled(1900, 0, 0, 0)};
+  {
+    SweepService service(/*threads=*/1, dir);
+    ASSERT_EQ(service.journal_error(), "");
+    EXPECT_EQ(run_encoded(service, {reqs[1], reqs[3]}).size(), 2u);
+    std::vector<u64> order;
+    SweepService::BatchOutcome outcome;
+    std::string error;
+    ASSERT_TRUE(service.run_jobs(
+        reqs,
+        [&](const JobResponse& resp) {
+          order.push_back(resp.job_id);
+          return true;
+        },
+        outcome, error))
+        << error;
+    EXPECT_EQ(outcome.journal_hits, 2u);
+    ASSERT_EQ(order.size(), reqs.size());
+    EXPECT_EQ(order[0], job_id(reqs[1]));
+    EXPECT_EQ(order[1], job_id(reqs[3]));
+  }
+  ::unlink((dir + "/daemon.journal").c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST(SweepService, SampledStreamedBatchMatchesPerJobRuns) {
+  // Above a lowered stream threshold, a batch's sampled jobs of one trace
+  // share record-stream passes. Two traces of three configs, interleaved,
+  // on two workers: each result must equal its own simulate_workload run.
+  const ScopedEnv threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  std::vector<JobRequest> reqs;
+  for (const MachineConfig& cfg : {monolithic_baseline(), helper_machine(steering_888()),
+                                   helper_machine(steering_888_br_lr_cr())})
+    for (const char* app : {"gcc", "twolf"}) {
+      JobRequest req = job_sampled(12000, 500, 1500, 4000);
+      req.config = cfg;
+      req.profile = spec_profile(app);
+      reqs.push_back(req);
+    }
+  SweepService service(/*threads=*/2);
+  const std::map<u64, std::vector<u8>> got = run_encoded(service, reqs);
+  ASSERT_EQ(got.size(), reqs.size());
+  for (const JobRequest& req : reqs) {
+    sample::SampleSpec spec;
+    ASSERT_EQ(sample_spec_of(req, spec), "");
+    EXPECT_EQ(got.at(job_id(req)),
+              encoded(simulate_workload(req.config, req.profile, req.n_records, spec)))
+        << req.profile.name;
+  }
+}
+
+TEST(SweepService, OneJobBatchOvertakesABigSampledStreamedBatch) {
+  // 3 x kMaxPassConfigs sampled jobs on one streamed trace, on one worker.
+  // Two jobs per thread would make two passes of 12 configs, so a one-job
+  // batch sent after the first result would wait behind the second, the
+  // last; in passes of at most kMaxPassConfigs it runs before the third.
+  const ScopedEnv threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  std::vector<JobRequest> big;
+  for (std::size_t k = 0; k < 3 * exp::kMaxPassConfigs; ++k) {
+    JobRequest req = job_sampled(40000, 1000, 8000, 10000);
+    req.config.rob_entries = static_cast<unsigned>(100 + k);
+    big.push_back(req);
+  }
+  SweepService service(/*threads=*/1);
+  std::atomic<int> finished{0};
+  std::atomic<bool> big_started{false};
+  int big_rank = -1;
+  std::thread t([&] {
+    SweepService::BatchOutcome outcome;
+    std::string error;
+    EXPECT_TRUE(service.run_jobs(
+        big,
+        [&](const JobResponse&) {
+          big_started.store(true);
+          return true;
+        },
+        outcome, error))
+        << error;
+    EXPECT_EQ(outcome.completed, big.size());
+    big_rank = finished++;
+  });
+  // (No ASSERT while `t` runs: leaving early would destroy it unjoined.)
+  EXPECT_TRUE(wait_until([&] { return big_started.load(); }, std::chrono::seconds(30)));
+  EXPECT_EQ(run_encoded(service, {job_sampled(20000, 0, 0, 0)}).size(), 1u);
+  const int small_rank = finished++;
+  t.join();
+  EXPECT_EQ(small_rank, 0);
+  EXPECT_EQ(big_rank, 1);
+}
+
 // --- daemon -------------------------------------------------------------------
 
 /// Daemon running on a background thread for client round-trip tests.
@@ -526,6 +646,40 @@ TEST(SweepService, BadSampleSpecIsARemoteErrorAndTheDaemonLives) {
     EXPECT_NE(error.find(rule), std::string::npos) << error;
     EXPECT_TRUE(client.ping(error)) << rule << ": " << error;
   }
+}
+
+TEST(SweepService, UnrunnableProfileBatchIsARemoteErrorAndTheDaemonLives) {
+  // Profiles trace generation cannot run: an unknown kernel used to end
+  // hcsimd in a fatal error, huge loop and chain counts in bad_alloc or
+  // unbounded memory, and a 40-bit footprint in an undefined shift.
+  const std::pair<void (*)(WorkloadProfile&), const char*> cases[] = {
+      {[](WorkloadProfile& p) { p.rv_kernel = "no_such_kernel"; }, "rv_kernel"},
+      {[](WorkloadProfile& p) { p.num_loops = 4000000000u; }, "num_loops"},
+      {[](WorkloadProfile& p) { p.body_chains_max = 4000000000u; }, "body_chains_max"},
+      {[](WorkloadProfile& p) { p.word_footprint_log2 = 40; }, "word_footprint_log2"},
+  };
+  DaemonFixture daemon("badprofile");
+  Client client = Client::connect(daemon.path());
+  ASSERT_TRUE(client.ok()) << client.error();
+  JobRequest good;
+  good.config = exp::SweepSpec().baseline;
+  good.profile = spec_profile("gcc");
+  good.n_records = 2000;
+  JobsDone done;
+  std::string error;
+  for (const auto& [breakage, rule] : cases) {
+    JobRequest bad = good;
+    breakage(bad.profile);
+    EXPECT_EQ(client.run_jobs({bad}, nullptr, done, error), Client::BatchStatus::kRemoteError)
+        << rule;
+    EXPECT_NE(error.find("unrunnable workload profile"), std::string::npos) << error;
+    EXPECT_NE(error.find(rule), std::string::npos) << error;
+    EXPECT_TRUE(client.ping(error)) << rule << ": " << error;
+  }
+  // The same connection still runs a good batch.
+  ASSERT_EQ(client.run_jobs({good}, nullptr, done, error), Client::BatchStatus::kDone)
+      << error;
+  EXPECT_EQ(done.completed, 1u);
 }
 
 TEST(Daemon, ClientDisconnectMidJobLeavesDaemonAlive) {

@@ -1,7 +1,7 @@
 // The shared trace cache (src/sim/trace_cache.hpp): one trace per (whole
 // profile, length) key, generated once while any handle holds it and freed
-// when the last one drops, and TraceHolds, the batch-level holds the sweep
-// runner, the job service and the local fallback share.
+// when the last one drops. The holds exp::simulate_cells takes on it are
+// tested with the executor (tests/test_exp.cpp).
 //
 // Every test uses a key (profile seed or length) that no other test pins
 // through cached_trace(), so generation counts are exact even when the
@@ -117,31 +117,6 @@ TEST(TraceCache, KeyCoversTheWholeProfile) {
     EXPECT_EQ(got.copies, want.copies);
     EXPECT_NE(got.final_tick, stock_run.final_tick);
   }
-}
-
-TEST(TraceCache, HoldsSpanAKeysFirstJobToItsLast) {
-  const WorkloadProfile a = profile_with_seed("bzip2", 4205);
-  const WorkloadProfile b = profile_with_seed("bzip2", 4206);
-  const u64 generated = trace_cache_stats().generated;
-  TraceHolds holds;
-  holds.add(a, 2500);     // job 0
-  holds.add(a, 2500);     // job 1
-  holds.add(b, 2500);     // job 2
-  holds.add(a, 5000000);  // job 3: streamed, no hold
-  holds.begin(0);
-  EXPECT_EQ(trace_cache_stats().live, 1u);
-  holds.end(0);
-  EXPECT_EQ(trace_cache_stats().live, 1u);  // job 1 of the key is still to run
-  holds.end(1);                             // skipped: never began
-  EXPECT_EQ(trace_cache_stats().live, 0u);
-  holds.begin(3);
-  EXPECT_EQ(trace_cache_stats().live, 0u);
-  holds.end(3);
-  holds.begin(2);
-  EXPECT_EQ(trace_cache_stats().live, 1u);
-  holds.end(2);
-  EXPECT_EQ(trace_cache_stats().live, 0u);
-  EXPECT_EQ(trace_cache_stats().generated - generated, 2u);
 }
 
 TEST(TraceCache, RunAppConfigsGeneratesItsTraceOnce) {

@@ -290,7 +290,8 @@ int main(int argc, char** argv) {
   // through the client journal, the daemon (reconnecting with backoff), and
   // the in-process fallback, then assembles the same SweepResult the
   // in-process path would have produced.
-  if (!connect_path.empty() || !journal_dir.empty()) {
+  const bool fault_tolerant = !connect_path.empty() || !journal_dir.empty();
+  if (fault_tolerant) {
     if (compare_full || max_rel_err > 0.0) {
       std::fprintf(stderr,
                    "--compare-full/--max-rel-err need a full in-process run "
@@ -308,10 +309,21 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(sample::kDefaultWarmup));
       return 2;
     }
-    if (sweep_name.empty()) return usage(argv[0]);
-    if (have_len) spec->trace_lens = {len_override};
-    if (have_seeds) spec->seeds = seed_override;
+  }
+  if (sweep_name.empty()) return usage(argv[0]);
+  if (have_len) spec->trace_lens = {len_override};
+  if (have_seeds) spec->seeds = seed_override;
 
+  if (max_rel_err > 0.0) compare_full = true;  // the bound needs the reference run
+  if (compare_full) sampled = true;
+  // The spec a sampled run uses: a zero measure means the default. Job
+  // requests carry the flags as given (job ids hash them), and resolve the
+  // same way.
+  sample::SampleSpec run_spec = sampled ? sample_spec : sample::SampleSpec{};
+  if (sampled && run_spec.measure == 0) run_spec.measure = sample::kDefaultMeasure;
+
+  SweepResult result, full_result;
+  if (fault_tolerant) {
     svc::FtSweepOptions ft;
     ft.socket_path = connect_path;
     ft.journal_dir = journal_dir;
@@ -331,7 +343,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", msg.c_str());
     };
 
-    SweepResult result;
     svc::FtSweepStats stats;
     std::string error;
     const svc::FtStatus status = run_sweep_ft(*spec, ft, result, stats, error);
@@ -352,60 +363,36 @@ int main(int argc, char** argv) {
                    error.c_str());
       return status == svc::FtStatus::kTransportFailed ? 3 : 2;
     }
-    const std::string via =
-        connect_path.empty() ? "" : " (via " + connect_path + ")";
-    std::printf("sweep %s: %zu points, %u thread%s%s\n", result.sweep.c_str(),
-                result.points.size(), result.threads_used,
-                result.threads_used == 1 ? "" : "s", via.c_str());
-    std::printf("%s\n", render_summary(result).c_str());
-    if (!csv_path.empty() && !write_file(csv_path, to_csv(result))) {
-      std::fprintf(stderr, "failed to write %s\n", csv_path.c_str());
-      return 1;
+  } else {
+    if (!quiet) {
+      opts.on_point = [](const PointResult& pr, u64 done, u64 total) {
+        std::fprintf(stderr, "[%3llu/%3llu] %-8s %-24s speedup %.3f\n",
+                     static_cast<unsigned long long>(done),
+                     static_cast<unsigned long long>(total),
+                     pr.point.profile.name.c_str(), pr.point.variant.name.c_str(),
+                     pr.speedup());
+      };
     }
-    if (!json_path.empty() && !write_file(json_path, to_json(result))) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    return 0;
-  }
-  if (sweep_name.empty()) return usage(argv[0]);
-  if (have_len) spec->trace_lens = {len_override};
-  if (have_seeds) spec->seeds = seed_override;
-
-  if (!quiet) {
-    opts.on_point = [](const PointResult& pr, u64 done, u64 total) {
-      std::fprintf(stderr, "[%3llu/%3llu] %-8s %-24s speedup %.3f\n",
-                   static_cast<unsigned long long>(done),
-                   static_cast<unsigned long long>(total),
-                   pr.point.profile.name.c_str(), pr.point.variant.name.c_str(),
-                   pr.speedup());
-    };
-  }
-
-  if (max_rel_err > 0.0) compare_full = true;  // the bound needs the reference run
-  if (compare_full) sampled = true;
-  if (sampled) {
-    if (sample_spec.measure == 0) sample_spec.measure = sample::kDefaultMeasure;
-    if (const std::string bad = sample::spec_error(sample_spec); !bad.empty()) {
+    if (const std::string bad = sample::spec_error(run_spec); !bad.empty()) {
       std::fprintf(stderr, "%s\n", bad.c_str());
       return 2;
     }
+    // The full reference sweep runs first, with sampling forced off; the
+    // main (possibly sampled) sweep then installs the active spec for its
+    // workers.
+    if (compare_full) {
+      sample::set_active_sample_spec(sample::SampleSpec{});
+      full_result = run_sweep(*spec, opts);
+    }
+    sample::set_active_sample_spec(run_spec);
+    result = run_sweep(*spec, opts);
   }
 
-  // The full reference sweep runs first, with sampling forced off; the main
-  // (possibly sampled) sweep then installs the active spec for its workers.
-  SweepResult full_result;
-  if (compare_full) {
-    sample::set_active_sample_spec(sample::SampleSpec{});
-    full_result = run_sweep(*spec, opts);
-  }
-  sample::set_active_sample_spec(sampled ? sample_spec : sample::SampleSpec{});
-  const SweepResult result = run_sweep(*spec, opts);
-
-  std::printf("sweep %s: %zu points, %u thread%s, %.2fs\n", result.sweep.c_str(),
+  const std::string via = connect_path.empty() ? "" : " (via " + connect_path + ")";
+  std::printf("sweep %s: %zu points, %u thread%s, %.2fs%s\n", result.sweep.c_str(),
               result.points.size(), result.threads_used,
-              result.threads_used == 1 ? "" : "s", result.wall_seconds);
-  if (sampled) std::printf("sampling: %s\n", sample_spec.describe().c_str());
+              result.threads_used == 1 ? "" : "s", result.wall_seconds, via.c_str());
+  if (sampled) std::printf("sampling: %s\n", run_spec.describe().c_str());
   std::printf("%s\n", render_summary(result).c_str());
 
   if (compare_full) {
