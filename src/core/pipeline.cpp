@@ -363,7 +363,8 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
   struct ExecTimes {
     Tick ready, issue, complete;
   };
-  auto exec_in = [&](unsigned cluster, Tick from_tick) -> ExecTimes {
+  auto exec_in = [&](unsigned cluster, Tick from_tick)
+                     __attribute__((always_inline)) -> ExecTimes {
     Tick src_ready = from_tick;
     for (u8 j = 0; j < t.n_srcs; ++j)
       src_ready = std::max(src_ready, acquire_value(t.srcs[j], cluster, from_tick));

@@ -9,9 +9,13 @@
 
 namespace hcsim {
 
+/// Print "hcsim fatal: file:line: msg" and abort. Cold and never inlined,
+/// so an HCSIM_CHECK with a literal message costs its hot caller only a
+/// compare and a call: no std::string is built on the inlined path.
+[[noreturn, gnu::cold, gnu::noinline]] void fatal(const char* file, int line, const char* msg);
+
 [[noreturn]] inline void fatal(const char* file, int line, const std::string& msg) {
-  std::fprintf(stderr, "hcsim fatal: %s:%d: %s\n", file, line, msg.c_str());
-  std::abort();
+  fatal(file, line, msg.c_str());
 }
 
 /// Simulator invariant check: enabled in all build types — a cycle-level

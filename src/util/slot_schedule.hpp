@@ -66,7 +66,7 @@ class SlotSchedule {
 
   /// Reserve the first free slot at a cycle whose start is >= `earliest`
   /// tick. Returns the tick at which the µop issues (start of that cycle).
-  Tick reserve(Tick earliest) {
+  [[gnu::always_inline]] Tick reserve(Tick earliest) {
     u64 cycle = to_cycle(earliest);
     if (cycle < base_) cycle = base_;
     if (cycle <= frontier_ && used_[cycle & kMask] >= width_) {
@@ -151,7 +151,7 @@ class MonotonicSlots {
 
   /// First free slot at a cycle whose start is >= `earliest`. Aborts if
   /// `earliest` lies in an earlier cycle than the previous request did.
-  Tick reserve(Tick earliest) {
+  [[gnu::always_inline]] Tick reserve(Tick earliest) {
     const u64 cycle = pow2_ ? (earliest >> shift_) : (earliest / cycle_ticks_);
     HCSIM_CHECK(cycle >= request_cycle_,
                 "MonotonicSlots: request cycle below the previous request's");

@@ -9,7 +9,8 @@
 #pragma once
 
 #include <array>
-#include <unordered_map>
+#include <bit>
+#include <vector>
 
 #include "isa/reg.hpp"
 #include "trace/trace.hpp"
@@ -21,19 +22,66 @@ namespace hcsim {
 /// mem_layout (byte arrays, word arrays, pointer/CR structures); a load
 /// from a never-written address synthesizes a deterministic value shaped by
 /// the region and the profile's value_stability, while stores persist.
+///
+/// Written words live in a power-of-two open-addressing table with linear
+/// probing, keyed by word address. Word addresses are 4-aligned, so an odd
+/// key marks an empty slot. The table doubles when it would pass half load
+/// and has no cap; every load probes it.
 class SyntheticMemory {
  public:
-  explicit SyntheticMemory(const WorkloadProfile& profile) : prof_(profile) {}
+  explicit SyntheticMemory(const WorkloadProfile& profile)
+      : seed_(profile.seed),
+        word_footprint_log2_(profile.word_footprint_log2),
+        value_stability_(profile.value_stability),
+        slots_(kInitialSlots, Slot{kEmptyKey, 0}) {}
 
   u32 load(u32 addr, bool byte) const;
   void store(u32 addr, u32 value, bool byte);
 
+  /// Distinct words stored to so far, and the table's slot count.
+  std::size_t written_words() const { return size_; }
+  std::size_t table_slots() const { return slots_.size(); }
+
  private:
+  struct Slot {
+    u32 key;  // word address, or kEmptyKey
+    u32 value;
+  };
+  static constexpr u32 kEmptyKey = 1;
+  static constexpr std::size_t kInitialSlots = 64;
+
+  /// The slot holding `word_addr`, or the empty slot that ends its probe.
+  std::size_t slot_of(u32 word_addr) const;
+  void grow();
   u32 synthesize(u32 addr) const;
 
-  const WorkloadProfile& prof_;
-  std::unordered_map<u32, u32> written_;  // word-granular backing store
+  u64 seed_;
+  unsigned word_footprint_log2_;
+  double value_stability_;
+  std::vector<Slot> slots_;
+  unsigned shift_ = 32 - std::countr_zero(kInitialSlots);  // 32 - log2(slots)
+  std::size_t size_ = 0;
 };
+
+/// The interpreter's register file: the architectural registers, then a
+/// zero slot that absent sources read and a sink slot that results and
+/// flags a µop does not write go to.
+using ExecRegs = std::array<u32, kNumRegs + 2>;
+
+/// One StaticUop as the interpreter runs it, 16 bytes like a StaticUop:
+/// register operands are ExecRegs slots, the fall-through pc is precomputed
+/// (program restart included) and the flags rule is resolved, so no step
+/// calls opcode_info().
+struct DecodedUop {
+  u32 imm = 0;
+  u32 next_pc = 0;
+  Opcode opcode = Opcode::kNop;
+  std::array<u8, kMaxSrcs> srcs{};  // the zero slot when absent
+  u8 dst = 0;                       // the sink slot unless a register is written
+  u8 flags = 0;                     // kRegFlags, or the sink slot
+  bool has_imm = false;             // the second ALU operand is imm
+};
+static_assert(sizeof(DecodedUop) == 16);
 
 /// Functionally execute `program` until `n_records` dynamic µops have been
 /// emitted (the program restarts from the top when it falls off the end).
@@ -47,18 +95,15 @@ Trace generate_trace(const WorkloadProfile& profile, u64 n_records);
 /// the program on demand, one bounded chunk at a time, into an internal
 /// reusable buffer. Long runs therefore cost O(chunk) memory instead of a
 /// materialized record vector — the record stream is bit-identical to
-/// execute_program's. Owns the program; generated-workload only (RISC-V
-/// kernels stream push-side, see rv/kernels.hpp).
+/// execute_program's. Owns the program and its decoded form (16 bytes per
+/// static µop); generated-workload only (RISC-V kernels stream push-side,
+/// see rv/kernels.hpp).
 class ProgramTraceCursor final : public TraceCursor {
  public:
   static constexpr std::size_t kDefaultChunkRecords = kTraceChunkRecords;
 
   ProgramTraceCursor(Program program, const WorkloadProfile& profile,
                      u64 n_records, std::size_t chunk_records = kDefaultChunkRecords);
-
-  // Self-referential (mem_ keeps a reference into profile_): not movable.
-  ProgramTraceCursor(const ProgramTraceCursor&) = delete;
-  ProgramTraceCursor& operator=(const ProgramTraceCursor&) = delete;
 
   const Program& program() const override { return program_; }
   std::span<const TraceRecord> next_chunk() override;
@@ -72,9 +117,9 @@ class ProgramTraceCursor final : public TraceCursor {
 
  private:
   Program program_;
-  WorkloadProfile profile_;  // mem_ keeps a reference into this copy
+  std::vector<DecodedUop> ops_;
   SyntheticMemory mem_;
-  std::array<u32, kNumRegs> regs_{};
+  ExecRegs regs_;
   std::vector<TraceRecord> buf_;
   std::size_t chunk_;
   u64 remaining_;

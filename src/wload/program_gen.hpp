@@ -34,8 +34,9 @@ constexpr bool in_ptr_region(u32 a) { return a >= kPtrRegionBase && a < kRegionL
 /// every array base in its region (byte_footprint_log2 <= 29,
 /// word_footprint_log2 <= 30); body_chains_min <= body_chains_max and
 /// trip_min <= trip_max; and at most 1024 loops of at most 64 chains, which
-/// caps a program at about 1.2M static µops (24 MB). generate_program
-/// aborts on a failing profile; hcsimd refuses the job.
+/// caps a program at about 1.2M static µops (24 MB), and the decoded copy a
+/// live ProgramTraceCursor holds at 16 bytes per static µop (about 19 MB).
+/// generate_program aborts on a failing profile; hcsimd refuses the job.
 std::string workload_profile_error(const WorkloadProfile& profile);
 
 /// Build the static program for `profile`. Deterministic in profile.seed.

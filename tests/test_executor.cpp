@@ -2,7 +2,9 @@
 // control flow and trace-record fidelity.
 #include <gtest/gtest.h>
 
+#include "map_memory.hpp"
 #include "util/narrow.hpp"
+#include "util/rng.hpp"
 #include "wload/executor.hpp"
 #include "wload/program_gen.hpp"
 
@@ -293,6 +295,39 @@ TEST(SyntheticMemory, WordRegionStabilityControlsNarrowMix) {
   // Around 30% of blocks are narrow by construction.
   EXPECT_GT(narrow, n / 8);
   EXPECT_LT(narrow, n / 2);
+}
+
+TEST(SyntheticMemory, MatchesAMapReference) {
+  // Random loads, word stores and byte stores over 16k words of each
+  // region, checked against the map model: the table grows from its
+  // initial size through well over 8 doublings on the way.
+  using namespace mem_layout;
+  const WorkloadProfile p = test_profile();
+  SyntheticMemory mem(p);
+  MapMemory ref(p);
+  constexpr u32 kBases[] = {kByteRegionBase, kWordRegionBase, kPtrRegionBase};
+  constexpr u32 kSpan = 1u << 16;  // bytes per region
+  const std::size_t initial_slots = mem.table_slots();
+  Rng rng(0x5EED);
+  unsigned mismatches = 0;
+  for (unsigned i = 0; i < 200000; ++i) {
+    const u32 addr = kBases[rng.below(3)] + static_cast<u32>(rng.below(kSpan));
+    const bool byte = rng.below(2) != 0;
+    if (rng.below(3) == 0) {
+      mismatches += mem.load(addr, byte) != ref.load(addr, byte);
+    } else {
+      const u32 value = rng.next_u32();
+      mem.store(addr, value, byte);
+      ref.store(addr, value, byte);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(mem.written_words(), ref.written_words());
+  EXPECT_GE(mem.table_slots(), initial_slots << 8);
+  for (const u32 base : kBases)
+    for (u32 off = 0; off < kSpan; off += 4)
+      ASSERT_EQ(mem.load(base + off, false), ref.load(base + off, false))
+          << std::hex << base + off;
 }
 
 }  // namespace

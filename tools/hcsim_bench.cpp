@@ -2,7 +2,8 @@
 // performance trajectory (items/sec, not a paper figure).
 //
 // Times the hot paths that dominate every experiment: synthetic trace
-// generation, the baseline pipeline, the batched SoA feed with a shared
+// generation, the seek of a sampled stream (trace_skip: the generator
+// stepping over µops it builds no records for), the baseline pipeline, the batched SoA feed with a shared
 // decode cache (pipeline_batched) and its cache-disabled twin
 // (pipeline_batched_nocache — the gap isolates the cache), the helper+IR
 // pipeline, the fused streaming path (generation + simulation, no
@@ -31,6 +32,8 @@
 #include "sample/spec.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
+#include "wload/executor.hpp"
+#include "wload/program_gen.hpp"
 
 using namespace hcsim;
 
@@ -109,6 +112,15 @@ int main(int argc, char** argv) {
     if (t.records.empty()) std::abort();  // keep the work observable
   });
 
+  // At least 1M µops per rep: a skip runs fast enough that the timer's
+  // resolution would dominate a 30k-µop rep.
+  const u64 skip_uops = std::max<u64>(n_uops, 1000000);
+  const Program program = generate_program(prof);
+  const double skip = best_items_per_sec(skip_uops, reps, [&] {
+    ProgramTraceCursor cursor(program, prof, skip_uops);
+    if (cursor.skip(skip_uops) != skip_uops) std::abort();
+  });
+
   const Trace& trace = cached_trace(prof, n_uops);
   const double base = best_items_per_sec(n_uops, reps, [&] {
     SimResult r = simulate(baseline, trace);
@@ -172,7 +184,7 @@ int main(int argc, char** argv) {
   // Computed from the same run, so machine-load drift cancels.
   const double helper_gap = ir > 0.0 ? base / ir : 0.0;
 
-  char buf[640];
+  char buf[768];
   std::string json = "{\n  \"label\": \"" + escaped_label + "\",\n";
   std::snprintf(buf, sizeof(buf),
                 "  \"workload\": \"gcc\",\n"
@@ -181,6 +193,7 @@ int main(int argc, char** argv) {
                 "  \"helper_gap\": %.3f,\n"
                 "  \"items_per_second\": {\n"
                 "    \"trace_gen\": %.0f,\n"
+                "    \"trace_skip\": %.0f,\n"
                 "    \"pipeline_baseline\": %.0f,\n"
                 "    \"pipeline_batched\": %.0f,\n"
                 "    \"pipeline_batched_nocache\": %.0f,\n"
@@ -190,7 +203,7 @@ int main(int argc, char** argv) {
                 "  }\n"
                 "}\n",
                 static_cast<unsigned long long>(n_uops), reps, helper_gap, gen,
-                base, batched, batched_nocache, ir, streamed, sampled);
+                skip, base, batched, batched_nocache, ir, streamed, sampled);
   json += buf;
   std::fputs(json.c_str(), stdout);
   if (!json_path.empty()) {
