@@ -4,6 +4,7 @@
 #include <bit>
 #include <string>
 
+#include "core/outcome_model.hpp"
 #include "util/log.hpp"
 #include "util/narrow.hpp"
 
@@ -45,8 +46,7 @@ Pipeline::Pipeline(const MachineConfig& cfg, const Program& program,
       program_(program),
       policy_(cfg.steer),
       wpred_(cfg.wpred),
-      bpred_(cfg.bpred),
-      memsys_(cfg.mem),
+      mem_ports_(cfg.mem),
       fetch_slots_(cfg.fetch_width, cfg.ticks_per_wide_cycle),
       rename_slots_(cfg.rename_width, cfg.ticks_per_wide_cycle),
       commit_slots_(cfg.commit_width, cfg.ticks_per_wide_cycle) {
@@ -170,27 +170,24 @@ void Pipeline::train_cp_window(SeqNum upto_seq) {
 // Memory
 // ---------------------------------------------------------------------------
 
-Tick Pipeline::memory_access(SeqNum seq, u32 addr, bool is_store, Tick agu_done) {
+Tick Pipeline::memory_access(MemLevel level, bool is_store, Tick agu_done) {
   const Tick wt = wide_ticks();
   // Runs for every load/store; the tick→wide-cycle ceil-division is a shift
   // for the power-of-two clock ratios (1, 2, 4 — everything but the ratio
   // ablation's 3).
   const u64 agu_up = agu_done + wt - 1;
   const u64 agu_cycle = wt_pow2_ ? (agu_up >> wt_shift_) : (agu_up / wt);
+  dl0_hits_.add(level == MemLevel::kDl0);
+  if (level != MemLevel::kDl0) ul1_hits_.add(level == MemLevel::kUl1);
+  // No store-to-load forwarding: each store leaves the machine at the end of
+  // its own program-order step, so every load reaches DL0.
+  const u64 done_cycle = mem_ports_.access(agu_cycle, level, is_store);
   if (is_store) {
-    mob_.add_store(seq, addr, agu_done);
-    // The store's cache access happens post-commit; charge the hierarchy now
-    // for port/replacement modeling without stalling the pipeline.
-    (void)memsys_.access(agu_cycle, addr, /*is_store=*/true);
+    // The store's cache access happens post-commit; charge the ports now
+    // without stalling the pipeline.
     res_.counters[Counter::kStoreAccesses]++;
     return agu_done;
   }
-  const Mob::LoadCheck fwd = mob_.check_load(seq, addr);
-  if (fwd.forwarded) {
-    res_.counters[Counter::kMobForwards]++;
-    return std::max(agu_done, fwd.ready_cycle) + wt;
-  }
-  const u64 done_cycle = memsys_.access(agu_cycle, addr, /*is_store=*/false);
   res_.counters[Counter::kLoadAccesses]++;
   return done_cycle * wt;
 }
@@ -250,8 +247,7 @@ Pipeline::SrcWidths Pipeline::scan_src_widths(const TraceRecord& rec,
   return w;
 }
 
-void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
-                           bool result_narrow, u8 src_lanes) {
+void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outcome) {
   const Tick wt = wide_ticks();
   const SeqNum seq = next_seq_++;
 
@@ -286,20 +282,18 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
   last_dispatch_ = disp;
 
   const bool tracked = t.tracked;
-  // The paper's machine performs a width-table lookup for every µop (the
-  // counter reflects that), but the prediction is only *consumed* for
-  // tracked µops or when the full steering ladder runs — predict_result is
-  // const, so eliding the dead table read is output-invisible.
-  const WidthPredictor::Prediction rp = (tracked || !t.static_wide)
-                                            ? wpred_.predict_result(rec.pc)
-                                            : WidthPredictor::Prediction{};
+  // The width-table lookup the paper's machine makes for every µop (the
+  // counter reflects it), as the outcome model read it at this point of
+  // program order. Only tracked µops and steering consume it.
+  const WidthPredictor::Prediction rp = Outcome::prediction(outcome);
 
   // ----- actual widths (used for misprediction detection + training) -----
-  // Folded from the precomputed value lanes against the template's operand
-  // masks instead of re-walking the operand array per record.
-  const bool result_narrow_actual = t.has_dst ? result_narrow : true;
+  // Folded from the value lanes against the template's operand masks
+  // instead of re-walking the operand array per record.
+  const bool result_narrow_actual = t.has_dst ? Outcome::result_narrow(outcome) : true;
   const bool srcs_narrow_actual =
-      (src_lanes & t.width_lane_mask) == t.width_lane_mask && t.imm_narrow;
+      (Outcome::src_lanes(outcome) & t.width_lane_mask) == t.width_lane_mask &&
+      t.imm_narrow;
 
   // ----- steering ---------------------------------------------------------
   // The source widths feed steering and, under a CR config, the CR-shape
@@ -359,7 +353,10 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
 
   // ----- execution helper --------------------------------------------------
   // Runs the µop in `cluster` starting no earlier than `from_tick`;
-  // returns {ready, issue, complete}.
+  // returns {ready, issue, complete}. A memory µop's first access is served
+  // by the level its outcome names. A flushed one accesses again, and that
+  // repeat hits DL0: the first access left the line the newest in its set.
+  MemLevel mem_level = Outcome::level(outcome);
   struct ExecTimes {
     Tick ready, issue, complete;
   };
@@ -380,7 +377,8 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
     Tick complete;
     if (t.is_mem) {
       const Tick agu_done = issue + cycle_ticks(cluster);
-      complete = memory_access(seq, rec.mem_addr, t.is_store_op, agu_done);
+      complete = memory_access(mem_level, t.is_store_op, agu_done);
+      mem_level = MemLevel::kDl0;
     } else {
       complete = issue + t.latency_wide * cycle_ticks(cluster);
     }
@@ -485,16 +483,13 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
     } else {
       ++res_.wp_correct;
     }
-    wpred_.train_result(rec.pc, result_narrow_actual);
   }
   if (cr_shape) wpred_.train_carry(rec.pc, cr_confined_actual);
 
   // ----- branches -----------------------------------------------------------
   if (t.is_branch_cond) {
     ++res_.branches;
-    const bool pred = bpred_.predict(rec.pc);
-    bpred_.update(rec.pc, rec.taken);
-    if (pred != rec.taken) {
+    if (Outcome::mispredicted(outcome)) {
       ++res_.branch_mispredicts;
       fetch_barrier_ = std::max(fetch_barrier_, complete);
     }
@@ -593,7 +588,6 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t,
   rob_commit_[rob_pos_] = ctick;
   if (++rob_pos_ == cfg_.rob_entries) rob_pos_ = 0;
   if (++cp_pos_ == cp_window_.size()) cp_pos_ = 0;
-  if (t.is_store_op) mob_.store_retired(seq);
   // Commit ticks are non-decreasing (each reserve is clamped to the last),
   // so the running final_tick is a plain store, not a max.
   res_.final_tick = ctick;
@@ -606,27 +600,38 @@ void Pipeline::bump_per_uop_counters(u64 n) {
   res_.uops += n;
 }
 
-void Pipeline::feed(std::span<const TraceRecord> recs) {
-  WidthLaneBlock lanes;
+void Pipeline::walk(std::span<const TraceRecord> recs, const u8* outcomes) {
   bump_per_uop_counters(recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i)
+    feed_record(recs[i], lookup_template(recs[i].pc), outcomes[i]);
+}
+
+void Pipeline::feed(std::span<const TraceRecord> recs) {
+  HCSIM_CHECK(own_model_ || next_seq_ == 0,
+              "Pipeline::feed: records after shared outcomes");
+  if (!own_model_) own_model_ = std::make_unique<OutcomeModel>(cfg_, program_);
+  std::array<u8, kOutcomeBlock> outcomes;
   while (!recs.empty()) {
-    const std::size_t n = std::min(recs.size(), WidthLaneBlock::kRecords);
-    const std::span<const TraceRecord> sub = recs.first(n);
-    lanes.classify(sub, width_bits_);
-    for (std::size_t i = 0; i < n; ++i)
-      feed_record(sub[i], lookup_template(sub[i].pc), lanes.result_narrow(i),
-                  lanes.src_mask(i));
-    recs = recs.subspan(n);
+    const std::span<const TraceRecord> sub = recs.first(std::min(recs.size(), kOutcomeBlock));
+    own_model_->run(sub, outcomes);
+    walk(sub, outcomes.data());
+    recs = recs.subspan(sub.size());
   }
+}
+
+void Pipeline::feed(std::span<const TraceRecord> recs, std::span<const u8> outcomes) {
+  HCSIM_CHECK(outcomes.size() == recs.size(), "Pipeline::feed: one outcome per record");
+  HCSIM_CHECK(!own_model_, "Pipeline::feed: shared outcomes after private ones");
+  walk(recs, outcomes.data());
 }
 
 Pipeline::StatsCheckpoint Pipeline::checkpoint_stats() const {
   StatsCheckpoint cp;
   cp.res = res_;
-  cp.dl0_hits = memsys_.dl0().hit_ratio().num;
-  cp.dl0_accesses = memsys_.dl0().hit_ratio().den;
-  cp.ul1_hits = memsys_.ul1().hit_ratio().num;
-  cp.ul1_accesses = memsys_.ul1().hit_ratio().den;
+  cp.dl0_hits = dl0_hits_.num;
+  cp.dl0_accesses = dl0_hits_.den;
+  cp.ul1_hits = ul1_hits_.num;
+  cp.ul1_accesses = ul1_hits_.den;
   return cp;
 }
 
@@ -640,10 +645,10 @@ SimResult Pipeline::finish() {
   res_.ipc = res_.wide_cycles > 0
                  ? static_cast<double>(res_.uops) / res_.wide_cycles
                  : 0.0;
-  res_.dl0_hit_rate = memsys_.dl0().hit_ratio().value();
-  res_.ul1_hit_rate = memsys_.ul1().hit_ratio().value();
-  res_.counters[Counter::kDl0Accesses] = memsys_.dl0().accesses();
-  res_.counters[Counter::kUl1Accesses] = memsys_.ul1().accesses();
+  res_.dl0_hit_rate = dl0_hits_.value();
+  res_.ul1_hit_rate = ul1_hits_.value();
+  res_.counters[Counter::kDl0Accesses] = dl0_hits_.den;
+  res_.counters[Counter::kUl1Accesses] = ul1_hits_.den;
   return res_;
 }
 

@@ -6,8 +6,14 @@
 // helper backend clocked `ticks_per_wide_cycle`x faster. µops are processed
 // in program order; out-of-order issue is modeled by per-cluster issue-slot
 // ledgers, issue-queue occupancy tracking, dependence-driven ready times,
-// a shared MOB + two-level cache hierarchy, inter-cluster copy µops, branch
-// misprediction redirects, and flush-based width-misprediction recovery.
+// memory-port ledgers, inter-cluster copy µops, branch misprediction
+// redirects, and flush-based width-misprediction recovery.
+//
+// The pipeline keeps only timing. Which cache level serves each access,
+// whether each conditional branch is mispredicted, each result's width
+// prediction and each record's width lanes depend only on program order, so
+// an OutcomeModel (core/outcome_model.hpp) works them out once per record,
+// and every config with the same outcome key walks the same outcome bytes.
 //
 // Global time advances in ticks: one tick = one helper-cluster cycle; the
 // frontend, wide backend, caches and commit operate every
@@ -15,9 +21,7 @@
 //
 // Hot-path architecture (see src/bbcache): everything derivable from the
 // static µop alone is cracked once per PC into a UopTemplate and replayed
-// for every dynamic instance; the batched feed() additionally runs
-// the value-width classification as a branchless SoA prepass over
-// WidthLaneBlock sub-batches. Cache-on and cache-off feeds funnel into the
+// for every dynamic instance. Cache-on and cache-off feeds funnel into the
 // same feed_record() core, so both are bit-identical by construction.
 #pragma once
 
@@ -32,12 +36,13 @@
 #include "core/sim_result.hpp"
 #include "util/slot_schedule.hpp"
 #include "mem/memory_system.hpp"
-#include "predict/branch_predictor.hpp"
 #include "predict/width_predictor.hpp"
 #include "steer/steering.hpp"
 #include "trace/trace.hpp"
 
 namespace hcsim {
+
+class OutcomeModel;
 
 class Pipeline {
  public:
@@ -55,9 +60,16 @@ class Pipeline {
   ~Pipeline();
 
   /// Process a batch of dynamic µops in program order. Splitting a stream
-  /// into batches differently gives bit-identical results; each batch runs
-  /// the width classification as an SoA prepass per WidthLaneBlock.
+  /// into batches differently gives bit-identical results. Each block of
+  /// kOutcomeBlock records first runs through the pipeline's private
+  /// OutcomeModel (built on the first call), then through the timing walk.
   void feed(std::span<const TraceRecord> recs);
+
+  /// The same walk over outcome bytes an OutcomeModel built with this
+  /// config's outcome key wrote for `recs` (one per record), from the
+  /// stream's first record on. Gives the same result as feed(recs). A
+  /// pipeline takes one of the two forms for its whole run.
+  void feed(std::span<const TraceRecord> recs, std::span<const u8> outcomes);
 
   /// Flush training windows, derive the summary statistics and return the
   /// result. Call exactly once, after the last feed().
@@ -90,6 +102,9 @@ class Pipeline {
   u64 fed_uops() const { return next_seq_; }
 
  private:
+  /// Records per private outcome block of feed(recs).
+  static constexpr std::size_t kOutcomeBlock = WidthLaneBlock::kRecords;
+
   struct CpTrainEntry;
 
   // Cluster index helpers: 0 = wide int, 1 = helper, 2 = wide FP.
@@ -121,11 +136,13 @@ class Pipeline {
   }
 
   /// The decode-once/replay-many core: one dynamic µop against its cracked
-  /// template, with the record's width lanes precomputed (`result_narrow`
-  /// is the result-value lane; `src_lanes` the per-operand-slot source
-  /// lanes, folded against the template masks).
-  void feed_record(const TraceRecord& rec, const UopTemplate& t,
-                   bool result_narrow, u8 src_lanes);
+  /// template and its outcome byte (core/outcome_model.hpp): the width
+  /// lanes, folded against the template masks, the result-width
+  /// prediction, and the cache level or branch verdict.
+  void feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outcome);
+
+  /// The timing walk over records and their outcome bytes.
+  void walk(std::span<const TraceRecord> recs, const u8* outcomes);
 
   /// Template for `pc`: decode-cache replay when enabled (counting hits and
   /// misses), a fresh crack into scratch_tmpl_ when disabled.
@@ -178,8 +195,8 @@ class Pipeline {
   SrcWidths scan_src_widths(const TraceRecord& rec, const UopTemplate& t,
                             Tick disp) const;
 
-  /// Memory access path shared by loads and stores.
-  Tick memory_access(SeqNum seq, u32 addr, bool is_store, Tick agu_done);
+  /// Memory access path shared by loads and stores, served by `level`.
+  Tick memory_access(MemLevel level, bool is_store, Tick agu_done);
 
   /// NREADY imbalance accounting for a µop that waited to issue.
   void account_nready(unsigned cluster, bool eligible_other, Tick ready, Tick issue);
@@ -195,10 +212,13 @@ class Pipeline {
   const Program& program_;
   SteeringPolicy policy_;
 
+  // Carry and copy halves only: the result half lives in the OutcomeModel.
   WidthPredictor wpred_;
-  BranchPredictor bpred_;
-  MemorySystem memsys_;
-  Mob mob_;
+  MemoryPorts mem_ports_;
+  Ratio dl0_hits_;  // hits / accesses, counted from the outcome levels
+  Ratio ul1_hits_;
+  // feed(recs)'s private model; feed(recs, outcomes) never builds one.
+  std::unique_ptr<OutcomeModel> own_model_;
 
   // Decode-and-steer cache (src/bbcache): private by default, injectable.
   DecodeCache own_cache_;

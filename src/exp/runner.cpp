@@ -7,6 +7,7 @@
 #include <span>
 #include <tuple>
 
+#include "core/outcome_model.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
@@ -158,10 +159,14 @@ void simulate_cells(
   const std::size_t shared_jobs = shared ? (2 * workers + shared - 1) / shared : 1;
 
   // A cached cell's trace: generated by its first job to start, dropped by
-  // its last to end. Streamed cells take no hold.
+  // its last to end. Streamed cells take no hold. An unsampled cached cell
+  // also holds one outcome array per distinct outcome key of its configs,
+  // worked out with the trace and dropped with it, so each config's job is
+  // only the timing walk.
   struct Hold {
     std::once_flag acquired;
     TraceHandle trace;
+    SharedOutcomes outcomes;
     std::atomic<std::size_t> jobs_left{0};
   };
   std::vector<Hold> holds(cells.size());
@@ -190,9 +195,17 @@ void simulate_cells(
       const bool cached = cell.n_records <= threshold;
       if (!stop.load()) {
         if (cached)
-          std::call_once(hold.acquired,
-                         [&] { hold.trace = acquire_trace(cell.profile, cell.n_records); });
-        if (job.hi - job.lo == 1) {
+          std::call_once(hold.acquired, [&] {
+            hold.trace = acquire_trace(cell.profile, cell.n_records);
+            if (!cell.spec.enabled())
+              hold.outcomes = shared_outcomes(cell.configs, *hold.trace);
+          });
+        if (cached && !cell.spec.enabled()) {
+          const Trace& trace = *hold.trace;
+          Pipeline p(cell.configs[job.lo], trace.program);
+          p.feed(trace.records, hold.outcomes[job.lo]);
+          on_result(job.c, job.lo, p.finish());
+        } else if (job.hi - job.lo == 1) {
           on_result(job.c, job.lo, simulate_workload(cell.configs[job.lo], cell.profile,
                                                      cell.n_records, cell.spec));
         } else {
@@ -204,7 +217,10 @@ void simulate_cells(
         }
         job.ran = true;
       }
-      if (cached && hold.jobs_left.fetch_sub(1) == 1) hold.trace.reset();
+      if (cached && hold.jobs_left.fetch_sub(1) == 1) {
+        hold.trace.reset();
+        hold.outcomes = {};
+      }
     });
   std::function<void(std::size_t)> done;
   if (on_done)

@@ -138,9 +138,9 @@ CellGrid sweep_cells(const SweepSpec& spec, const std::vector<ExperimentPoint>& 
 /// The most configs one shared pass (sample::simulate_configs) runs: the
 /// largest built-in cell, the baseline and the seven variants of
 /// cumulative, rv and helper_design. A pass builds a pipeline per config
-/// for every window (1.3 MB for the default machine, up to about 10 MB),
-/// so the cap bounds a job's memory and length whatever cells a daemon
-/// batch brings.
+/// for every window (0.75 MB for the default machine) and an OutcomeModel
+/// per distinct outcome key (0.5 MB of Table 1 tag arrays), so the cap
+/// bounds a job's memory and length whatever cells a daemon batch brings.
 inline constexpr std::size_t kMaxPassConfigs = 8;
 
 /// Simulate every config of every cell on run_batch(threads, pool), jobs in
@@ -149,11 +149,15 @@ inline constexpr std::size_t kMaxPassConfigs = 8;
 /// (sample::simulate_configs), two jobs per thread over all such cells but
 /// at most kMaxPassConfigs configs per pass; any other cell runs one job
 /// per config. A cached cell's trace is held from its first job's start to
-/// its last job's end, so at most threads + 1 are alive. on_result(c, k,
-/// result) runs on the worker that finished config k of cell c, while the
-/// trace is held; on_done(c, k), if set, then runs on the calling thread in
-/// completion order, and once it returns false, simulations not yet
-/// started are skipped and get neither callback.
+/// its last job's end, so at most threads + 1 are alive. An unsampled
+/// cached cell's first job also writes one outcome array per distinct
+/// outcome key of its configs (shared_outcomes, one byte per record),
+/// dropped with the trace, and each job walks its config over the trace
+/// and its shared array. on_result(c, k, result) runs on the worker that
+/// finished config k of cell c, while the trace is held; on_done(c, k), if
+/// set, then runs on the calling thread in completion order, and once it
+/// returns false, simulations not yet started are skipped and get neither
+/// callback.
 void simulate_cells(
     const std::vector<SweepCell>& cells, unsigned threads, ThreadPool* pool,
     const std::function<void(std::size_t c, std::size_t k, SimResult&& result)>& on_result,

@@ -4,12 +4,15 @@
 
 namespace hcsim {
 
+MemoryPorts::MemoryPorts(const MemoryConfig& cfg)
+    : dl0_ports_(cfg.dl0.ports, /*cycle_ticks=*/1),
+      ul1_ports_(cfg.ul1.ports, /*cycle_ticks=*/1),
+      dl0_latency_(cfg.dl0.latency_cycles),
+      ul1_latency_(cfg.ul1.latency_cycles),
+      main_memory_cycles_(cfg.main_memory_cycles) {}
+
 MemorySystem::MemorySystem(const MemoryConfig& cfg)
-    : cfg_(cfg),
-      dl0_(cfg.dl0),
-      ul1_(cfg.ul1),
-      dl0_ports_(cfg.dl0.ports, /*cycle_ticks=*/1),
-      ul1_ports_(cfg.ul1.ports, /*cycle_ticks=*/1) {}
+    : cfg_(cfg), dl0_(cfg.dl0), ul1_(cfg.ul1), ports_(cfg) {}
 
 void Mob::squash_from(SeqNum seq) {
   while (tail_ != head_ && stores_[(tail_ - 1) & mask_].seq >= seq) --tail_;

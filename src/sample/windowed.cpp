@@ -5,6 +5,7 @@
 #include <memory>
 #include <span>
 
+#include "core/outcome_model.hpp"
 #include "exp/runner.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
@@ -108,18 +109,25 @@ void finalize(SimResult& r, Tick wide_ticks, u64 dl0_hits, u64 dl0_accesses,
 }
 
 /// Records per span: the stream's sink fills a buffer of this many records,
-/// and every pipeline of a pass takes each span through the batched
-/// Pipeline::feed(span).
+/// and each span goes through the group's outcome models once and then
+/// through every pipeline.
 constexpr std::size_t kSpanRecords = 4096;
 
 /// Cold pipelines, one per config, bound to one program and fed the same
-/// record spans.
+/// record spans, and one cold OutcomeModel per distinct outcome key among
+/// them, whose outcome bytes every pipeline with that key walks.
 class PipelineGroup {
  public:
-  PipelineGroup(std::span<const MachineConfig> cfgs, const Program& program) {
+  PipelineGroup(std::span<const MachineConfig> cfgs, const Program& program)
+      : outcomes_of_(outcome_classes(cfgs)) {
     pipes_.reserve(cfgs.size());
-    for (const MachineConfig& cfg : cfgs)
-      pipes_.push_back(std::make_unique<Pipeline>(cfg, program));
+    for (std::size_t k = 0; k < cfgs.size(); ++k) {
+      pipes_.push_back(std::make_unique<Pipeline>(cfgs[k], program));
+      if (outcomes_of_[k] == models_.size()) {
+        models_.emplace_back(cfgs[k], program);
+        outcomes_.emplace_back(kSpanRecords);
+      }
+    }
     buf_.reserve(kSpanRecords);
   }
 
@@ -140,13 +148,18 @@ class PipelineGroup {
  private:
   void flush() {
     if (buf_.empty()) return;
-    for (const std::unique_ptr<Pipeline>& p : pipes_)
-      p->feed(std::span<const TraceRecord>(buf_));
+    const std::span<const TraceRecord> recs(buf_);
+    for (std::size_t m = 0; m < models_.size(); ++m) models_[m].run(recs, outcomes_[m]);
+    for (std::size_t k = 0; k < pipes_.size(); ++k)
+      pipes_[k]->feed(recs, std::span<const u8>(outcomes_[outcomes_of_[k]]).first(recs.size()));
     fed_ += buf_.size();
     buf_.clear();
   }
 
   std::vector<std::unique_ptr<Pipeline>> pipes_;  // Pipeline is not movable
+  std::vector<std::size_t> outcomes_of_;          // per pipeline, its model
+  std::vector<OutcomeModel> models_;
+  std::vector<std::vector<u8>> outcomes_;  // per model, the current span's bytes
   std::vector<TraceRecord> buf_;
   u64 fed_ = 0;
 };

@@ -61,12 +61,12 @@ struct Trace {
 /// Structure-of-arrays width lanes over one sub-batch of trace records.
 ///
 /// The per-record width classification (is every source value narrow? is the
-/// result narrow?) depends only on the record's values and the helper width,
-/// so the batched pipeline front end hoists it out of the stateful per-µop
-/// walk: classify() runs a branchless pass over a block of records filling
-/// one bitmask lane per record, and the steering/training code folds those
-/// lanes against the static µop template's operand masks. One block covers
-/// kRecords records; TraceCursor chunks are a whole multiple of it.
+/// result narrow?) depends only on the record's values and the helper width:
+/// classify() runs a branchless pass over a block of records filling one
+/// bitmask lane per record (width_lanes), which steering and training fold
+/// against the static µop template's operand masks. The pipeline reads the
+/// same lanes from its outcome bytes (core/outcome_model.hpp). One block
+/// covers kRecords records; TraceCursor chunks are a whole multiple of it.
 struct WidthLaneBlock {
   /// Records per block. Small enough to stay cache-resident between the
   /// classify pass and the consuming walk; divides kTraceChunkRecords so
@@ -96,17 +96,20 @@ struct WidthLaneBlock {
   u8 src_mask(std::size_t i) const { return lanes[i] & kSrcMask; }
 };
 
+/// One record's width lanes in WidthLaneBlock's layout: bit k (k < kMaxSrcs)
+/// is set when src_vals[k] is narrow, bit kResultBit when the result is.
+inline u8 width_lanes(const TraceRecord& r, unsigned width_bits) {
+  u8 m = 0;
+  for (unsigned k = 0; k < kMaxSrcs; ++k)
+    m |= static_cast<u8>(is_narrow(r.src_vals[k], width_bits)) << k;
+  return m | static_cast<u8>(static_cast<u8>(is_narrow(r.result, width_bits))
+                             << WidthLaneBlock::kResultBit);
+}
+
 inline void WidthLaneBlock::classify(std::span<const TraceRecord> recs,
                                      unsigned width_bits) {
   HCSIM_CHECK(recs.size() <= kRecords, "WidthLaneBlock: block overflow");
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const TraceRecord& r = recs[i];
-    u8 m = 0;
-    for (unsigned k = 0; k < kMaxSrcs; ++k)
-      m |= static_cast<u8>(is_narrow(r.src_vals[k], width_bits)) << k;
-    m |= static_cast<u8>(is_narrow(r.result, width_bits)) << kResultBit;
-    lanes[i] = m;
-  }
+  for (std::size_t i = 0; i < recs.size(); ++i) lanes[i] = width_lanes(recs[i], width_bits);
 }
 
 /// Streaming view of a dynamic µop stream: the pipeline pulls records

@@ -1,6 +1,8 @@
 // Tests for the set-associative cache model.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "mem/cache.hpp"
 
 namespace hcsim {
@@ -97,6 +99,31 @@ TEST(CacheDeath, RejectsBadGeometry) {
 }
 
 class CacheGeometry : public ::testing::TestWithParam<std::tuple<u32, u32>> {};
+
+// The pipeline replays a flushed memory µop's access as a DL0 hit without
+// touching the tags. That is exact only if repeating an access right after
+// itself leaves every later hit or miss unchanged: the line is already the
+// newest in its set, so the LRU order stays the same.
+TEST(Cache, RepeatingTheNewestAccessChangesNoLaterVerdict) {
+  std::mt19937 rng(20061);
+  for (u32 ways = 1; ways <= 4; ++ways) {
+    for (u32 sets : {1u, 2u, 4u, 8u}) {
+      CacheConfig cfg = small_cache(ways);
+      cfg.size_bytes = cfg.line_bytes * ways * sets;
+      // Twice as many lines as the cache holds, so hits and misses mix.
+      const u32 lines = 2 * ways * sets;
+      for (int trial = 0; trial < 20; ++trial) {
+        Cache once(cfg), repeated(cfg);
+        for (int i = 0; i < 400; ++i) {
+          const u32 addr = (rng() % lines) * cfg.line_bytes + rng() % cfg.line_bytes;
+          ASSERT_EQ(once.access(addr), repeated.access(addr))
+              << ways << " ways, " << sets << " sets, trial " << trial << ", access " << i;
+          if (rng() % 3 == 0) ASSERT_TRUE(repeated.access(addr));
+        }
+      }
+    }
+  }
+}
 
 TEST_P(CacheGeometry, TableOneConfigsWork) {
   const auto [size, ways] = GetParam();

@@ -16,6 +16,7 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "expect_result.hpp"
 #include "sample/spec.hpp"
 #include "scoped_env.hpp"
 #include "sim/simulator.hpp"
@@ -395,6 +396,23 @@ TEST(Runner, CellPassMatchesPerPointRuns) {
   }
 
   sample::set_active_sample_spec(sample::SampleSpec{});
+}
+
+TEST(Runner, CachedCellSharesOutcomesAcrossItsConfigs) {
+  // An unsampled cached cell works out one outcome array per distinct
+  // outcome key with its trace; helper_design's helper widths 4, 8 and 16
+  // give its configs three keys. On 4 threads every config must still get
+  // the result of a private run.
+  const SweepSpec design = *find_sweep("helper_design");
+  SweepCell cell{spec_profile("gcc"), 20000, sample::SampleSpec{}, {design.baseline}};
+  for (const ConfigVariant& v : design.variants) cell.configs.push_back(v.machine);
+  std::vector<SimResult> shared(cell.configs.size());
+  simulate_cells({cell}, 4, nullptr,
+                 [&](std::size_t, std::size_t k, SimResult&& r) { shared[k] = std::move(r); });
+  const TraceHandle trace = acquire_trace(cell.profile, cell.n_records);
+  for (std::size_t k = 0; k < cell.configs.size(); ++k)
+    EXPECT_EQ(result_difference(shared[k], simulate(cell.configs[k], *trace)), "")
+        << "config " << k;
 }
 
 // --- reporting --------------------------------------------------------------

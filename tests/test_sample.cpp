@@ -18,6 +18,7 @@
 #include "sample/spec.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
+#include "expect_result.hpp"
 
 namespace hcsim::sample {
 namespace {
@@ -44,44 +45,6 @@ class EnvGuard {
   std::string old_;
   bool had_ = false;
 };
-
-/// Bit-identity over every integer field, the counter bag and the copy-wait
-/// histogram; derived doubles are computed from those integers the same way
-/// on both sides, so exact double equality is expected too.
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.uops, b.uops);
-  EXPECT_EQ(a.final_tick, b.final_tick);
-  EXPECT_EQ(a.to_wide, b.to_wide);
-  EXPECT_EQ(a.to_helper, b.to_helper);
-  EXPECT_EQ(a.br_steered, b.br_steered);
-  EXPECT_EQ(a.cr_steered, b.cr_steered);
-  EXPECT_EQ(a.split_uops, b.split_uops);
-  EXPECT_EQ(a.chunk_uops, b.chunk_uops);
-  EXPECT_EQ(a.replicated_loads, b.replicated_loads);
-  EXPECT_EQ(a.copies, b.copies);
-  EXPECT_EQ(a.copies_w2n, b.copies_w2n);
-  EXPECT_EQ(a.copies_n2w, b.copies_n2w);
-  EXPECT_EQ(a.copy_prefetches, b.copy_prefetches);
-  EXPECT_EQ(a.cp_useful, b.cp_useful);
-  EXPECT_EQ(a.cp_wasted, b.cp_wasted);
-  EXPECT_EQ(a.wp_correct, b.wp_correct);
-  EXPECT_EQ(a.wp_nonfatal, b.wp_nonfatal);
-  EXPECT_EQ(a.wp_fatal, b.wp_fatal);
-  EXPECT_EQ(a.cr_violations, b.cr_violations);
-  EXPECT_EQ(a.branches, b.branches);
-  EXPECT_EQ(a.branch_mispredicts, b.branch_mispredicts);
-  EXPECT_EQ(a.nready_w2n, b.nready_w2n);
-  EXPECT_EQ(a.nready_n2w, b.nready_n2w);
-  EXPECT_EQ(a.counters.to_bag().all(), b.counters.to_bag().all());
-  EXPECT_EQ(a.copy_wait.total(), b.copy_wait.total());
-  ASSERT_EQ(a.copy_wait.bins(), b.copy_wait.bins());
-  for (std::size_t i = 0; i <= a.copy_wait.bins(); ++i)
-    EXPECT_EQ(a.copy_wait.bin(i), b.copy_wait.bin(i)) << "copy_wait bin " << i;
-  EXPECT_EQ(a.dl0_hit_rate, b.dl0_hit_rate);
-  EXPECT_EQ(a.ul1_hit_rate, b.ul1_hit_rate);
-  EXPECT_EQ(a.wide_cycles, b.wide_cycles);
-  EXPECT_EQ(a.ipc, b.ipc);
-}
 
 // Deliberately skips trace_len: a profile-based run reports the requested
 // length while a Trace-based run reports the actual record count (an RV

@@ -7,9 +7,12 @@
 // decode cache (pipeline_batched) and its cache-disabled twin
 // (pipeline_batched_nocache — the gap isolates the cache), the helper+IR
 // pipeline, the fused streaming path (generation + simulation, no
-// materialized trace), and the warm-up/measure sampled path (pipeline_sampled: a 5-window schedule
+// materialized trace), the warm-up/measure sampled path (pipeline_sampled: a 5-window schedule
 // simulating ~25% of the trace — its items/sec counts *trace µops covered*,
-// so the gap to pipeline_streamed is the sampling speedup). Results go to
+// so the gap to pipeline_streamed is the sampling speedup), and the
+// cumulative ladder as a cached sweep cell runs it (pipeline_ladder: the
+// baseline and the 7 rungs walking one shared outcome pass, counted in
+// config-µops, so it compares with pipeline_baseline). Results go to
 // stdout as JSON; append them to BENCH_sim_throughput.json so each PR has a
 // recorded baseline to beat (see README "Performance").
 //
@@ -24,11 +27,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <string>
-
 #include <span>
+#include <string>
+#include <vector>
 
 #include "bbcache/bb_cache.hpp"
+#include "core/outcome_model.hpp"
+#include "exp/sweep.hpp"
 #include "sample/spec.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
@@ -153,6 +158,20 @@ int main(int argc, char** argv) {
     if (r.final_tick == 0) std::abort();
   });
 
+  // The ladder of a cached sweep cell: one outcome pass over the trace per
+  // distinct outcome key (one here), then each config's timing walk.
+  std::vector<MachineConfig> ladder = {baseline};
+  for (const exp::ConfigVariant& v : exp::cumulative_scheme_variants())
+    ladder.push_back(v.machine);
+  const double ladder_rate = best_items_per_sec(n_uops * ladder.size(), reps, [&] {
+    const SharedOutcomes outcomes = shared_outcomes(ladder, trace);
+    for (std::size_t k = 0; k < ladder.size(); ++k) {
+      Pipeline p(ladder[k], trace.program);
+      p.feed(trace.records, outcomes[k]);
+      if (p.finish().final_tick == 0) std::abort();
+    }
+  });
+
   // Sampled path: 5 windows of 1% warm-up + 4% measure each, so ~25% of the
   // trace is actually fed. Throughput still counts every trace µop *covered*
   // (simulated or skipped) — the paper-scale figure of merit.
@@ -184,7 +203,7 @@ int main(int argc, char** argv) {
   // Computed from the same run, so machine-load drift cancels.
   const double helper_gap = ir > 0.0 ? base / ir : 0.0;
 
-  char buf[768];
+  char buf[896];
   std::string json = "{\n  \"label\": \"" + escaped_label + "\",\n";
   std::snprintf(buf, sizeof(buf),
                 "  \"workload\": \"gcc\",\n"
@@ -199,11 +218,12 @@ int main(int argc, char** argv) {
                 "    \"pipeline_batched_nocache\": %.0f,\n"
                 "    \"pipeline_helper_ir\": %.0f,\n"
                 "    \"pipeline_streamed\": %.0f,\n"
-                "    \"pipeline_sampled\": %.0f\n"
+                "    \"pipeline_sampled\": %.0f,\n"
+                "    \"pipeline_ladder\": %.0f\n"
                 "  }\n"
                 "}\n",
                 static_cast<unsigned long long>(n_uops), reps, helper_gap, gen,
-                skip, base, batched, batched_nocache, ir, streamed, sampled);
+                skip, base, batched, batched_nocache, ir, streamed, sampled, ladder_rate);
   json += buf;
   std::fputs(json.c_str(), stdout);
   if (!json_path.empty()) {
