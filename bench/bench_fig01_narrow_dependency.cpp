@@ -13,26 +13,20 @@ int main() {
 
   TextTable t({"app", "narrow-dependent %", "bar"});
   std::vector<double> vals;
-  for (const std::string& app : spec_names()) {
-    const Trace& tr = cached_trace(spec_profile(app), default_trace_len());
-    const auto s = narrow_dependency_stats(tr);
+  Ratio one, two_wide, two_narrow;  // Section 1 text: ALU operand mix
+  for (const WorkloadProfile& app : spec_int_2000_profiles()) {
+    const auto s = narrow_dependency_stats(*acquire_trace(app, default_trace_len()));
     const double pct = s.operands_narrow_dependent.percent();
     vals.push_back(pct);
-    t.add_row({app, TextTable::num(pct, 1), ascii_bar(pct, 100.0)});
-  }
-  t.add_row({"AVG", TextTable::num(avg(vals), 1), ascii_bar(avg(vals), 100.0)});
-  std::printf("%s\n", t.render().c_str());
-
-  // Section 1 text: ALU operand mix.
-  Ratio one, two_wide, two_narrow;
-  for (const std::string& app : spec_names()) {
-    const Trace& tr = cached_trace(spec_profile(app), default_trace_len());
-    const auto s = narrow_dependency_stats(tr);
+    t.add_row({app.name, TextTable::num(pct, 1), ascii_bar(pct, 100.0)});
     one.add_n(s.alu_one_narrow.num, s.alu_one_narrow.den);
     two_wide.add_n(s.alu_two_narrow_wide_result.num, s.alu_two_narrow_wide_result.den);
     two_narrow.add_n(s.alu_two_narrow_narrow_result.num,
                      s.alu_two_narrow_narrow_result.den);
   }
+  t.add_row({"AVG", TextTable::num(avg(vals), 1), ascii_bar(avg(vals), 100.0)});
+  std::printf("%s\n", t.render().c_str());
+
   std::printf("ALU operand mix (paper: 39.4%% one-narrow, 3.3%% 2-narrow->wide, "
               "43.5%% 2-narrow->narrow):\n");
   std::printf("  one narrow operand          : %.1f%%\n", one.percent());

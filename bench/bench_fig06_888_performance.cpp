@@ -35,6 +35,6 @@ int main() {
   footer_shape(avg(gains) > 0.0 && bzip2_gain < avg(gains),
                "positive average with bzip2 below it (copy/memory bound). "
                "Note: our copy/narrow ratios cluster near 1.0 for all apps "
-               "(see EXPERIMENTS.md)");
+               "(see README, \"Paper claims\")");
   return 0;
 }

@@ -1,5 +1,6 @@
 // Figure 7 — percentage of instructions steered to the helper cluster and
 // of inter-cluster copies under the 8-8-8 scheme (paper: 15% steered).
+// Reads the "fig06" sweep's points (12 apps x {8_8_8}).
 #include "bench_util.hpp"
 
 using namespace hcsim;
@@ -10,15 +11,16 @@ int main() {
          "15% of instructions steered on average; sizable copy percentage "
          "because narrow values feed wide addressing/indexing");
 
+  const exp::SweepResult res = run_named_sweep("fig06");
+
   TextTable t({"app", "helper instr %", "copy instr %"});
   std::vector<double> steered, copies;
-  for (const std::string& app : spec_names()) {
-    const AppRun run = run_app(spec_profile(app), steering_888());
-    const double s = 100.0 * run.helper.helper_frac();
-    const double c = 100.0 * run.helper.copy_frac();
+  for (const exp::PointResult& pr : res.points) {
+    const double s = 100.0 * pr.sim.helper_frac();
+    const double c = 100.0 * pr.sim.copy_frac();
     steered.push_back(s);
     copies.push_back(c);
-    t.add_row({app, TextTable::num(s, 1), TextTable::num(c, 1)});
+    t.add_row({pr.point.profile.name, TextTable::num(s, 1), TextTable::num(c, 1)});
   }
   t.add_row({"AVG", TextTable::num(avg(steered), 1), TextTable::num(avg(copies), 1)});
   std::printf("%s\n", t.render().c_str());

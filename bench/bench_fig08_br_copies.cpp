@@ -1,5 +1,6 @@
 // Figure 8 — decrease in copy percentage due to the BR scheme
-// (branches steered to the flags producer's cluster).
+// (branches steered to the flags producer's cluster). Reads the 8_8_8 and
+// +BR rungs of the "cumulative" sweep.
 #include "bench_util.hpp"
 
 using namespace hcsim;
@@ -9,18 +10,18 @@ int main() {
   header("Figure 8 - copy percentage: 8_8_8 vs 8_8_8+BR",
          "BR steers 19.5% of instructions and cuts copies to 10.8%, +9% perf");
 
-  const std::vector<SteeringConfig> cfgs = {steering_888(), steering_888_br()};
+  const exp::SweepResult res = run_named_sweep("cumulative");
+
   TextTable t({"app", "8_8_8 copies%", "+BR copies%"});
   std::vector<double> base_copies, br_copies, br_steered, br_gain;
-  for (const std::string& app : spec_names()) {
-    const MultiRun run = run_app_configs(spec_profile(app), cfgs);
-    const double c0 = 100.0 * run.configs[0].copy_frac();
-    const double c1 = 100.0 * run.configs[1].copy_frac();
+  for (const auto& row : rows_of(res, {"8_8_8", "8_8_8+BR"})) {
+    const double c0 = 100.0 * row[0]->sim.copy_frac();
+    const double c1 = 100.0 * row[1]->sim.copy_frac();
     base_copies.push_back(c0);
     br_copies.push_back(c1);
-    br_steered.push_back(100.0 * run.configs[1].helper_frac());
-    br_gain.push_back((run.configs[1].speedup_vs(run.baseline) - 1.0) * 100.0);
-    t.add_row({app, TextTable::num(c0, 1), TextTable::num(c1, 1)});
+    br_steered.push_back(100.0 * row[1]->sim.helper_frac());
+    br_gain.push_back(row[1]->perf_increase_pct());
+    t.add_row({row[0]->point.profile.name, TextTable::num(c0, 1), TextTable::num(c1, 1)});
   }
   t.add_row({"AVG", TextTable::num(avg(base_copies), 1), TextTable::num(avg(br_copies), 1)});
   std::printf("%s\n", t.render().c_str());

@@ -1,4 +1,5 @@
 // Figure 9 — minimization of copy percentage due to Load Replication.
+// Reads the 8_8_8, +BR and +BR+LR rungs of the "cumulative" sweep.
 #include "bench_util.hpp"
 
 using namespace hcsim;
@@ -9,19 +10,19 @@ int main() {
          "LR (8-bit loads allocate registers in both clusters via the shared "
          "MOB) decreases copies from 10.8% to 6.4%");
 
-  const std::vector<SteeringConfig> cfgs = {steering_888(), steering_888_br(),
-                                            steering_888_br_lr()};
+  const exp::SweepResult res = run_named_sweep("cumulative");
+
   TextTable t({"app", "8_8_8", "+BR", "+BR+LR"});
   std::vector<double> c0s, c1s, c2s;
-  for (const std::string& app : spec_names()) {
-    const MultiRun run = run_app_configs(spec_profile(app), cfgs);
-    const double c0 = 100.0 * run.configs[0].copy_frac();
-    const double c1 = 100.0 * run.configs[1].copy_frac();
-    const double c2 = 100.0 * run.configs[2].copy_frac();
+  for (const auto& row : rows_of(res, {"8_8_8", "8_8_8+BR", "8_8_8+BR+LR"})) {
+    const double c0 = 100.0 * row[0]->sim.copy_frac();
+    const double c1 = 100.0 * row[1]->sim.copy_frac();
+    const double c2 = 100.0 * row[2]->sim.copy_frac();
     c0s.push_back(c0);
     c1s.push_back(c1);
     c2s.push_back(c2);
-    t.add_row({app, TextTable::num(c0, 1), TextTable::num(c1, 1), TextTable::num(c2, 1)});
+    t.add_row({row[0]->point.profile.name, TextTable::num(c0, 1), TextTable::num(c1, 1),
+               TextTable::num(c2, 1)});
   }
   t.add_row({"AVG", TextTable::num(avg(c0s), 1), TextTable::num(avg(c1s), 1),
              TextTable::num(avg(c2s), 1)});

@@ -14,12 +14,11 @@ int main() {
 
   TextTable t({"app", "arith %", "load %"});
   std::vector<double> arith, load;
-  for (const std::string& app : spec_names()) {
-    const Trace& tr = cached_trace(spec_profile(app), default_trace_len());
-    const CarryStats s = carry_stats(tr);
+  for (const WorkloadProfile& app : spec_int_2000_profiles()) {
+    const CarryStats s = carry_stats(*acquire_trace(app, default_trace_len()));
     arith.push_back(s.arith_confined.percent());
     load.push_back(s.load_confined.percent());
-    t.add_row({app, TextTable::num(s.arith_confined.percent(), 1),
+    t.add_row({app.name, TextTable::num(s.arith_confined.percent(), 1),
                TextTable::num(s.load_confined.percent(), 1)});
   }
   t.add_row({"AVG", TextTable::num(avg(arith), 1), TextTable::num(avg(load), 1)});

@@ -13,21 +13,14 @@ int main() {
 
   const exp::SweepResult res = run_named_sweep("fig12");
 
-  // Grid order is app-major: points[2*a] is 8_8_8, points[2*a+1] is +BR+LR+CR.
   TextTable t({"app", "8_8_8 %", "8_8_8+BR+LR+CR %"});
   std::vector<double> g0s, g1s, steered, copies;
-  HCSIM_CHECK(res.points.size() % 2 == 0, "fig12 sweep must have 2 variants per app");
-  for (std::size_t i = 0; i + 1 < res.points.size(); i += 2) {
-    const exp::PointResult& p0 = res.points[i];
-    const exp::PointResult& p1 = res.points[i + 1];
-    HCSIM_CHECK(p0.point.workload_idx == p1.point.workload_idx &&
-                    p0.point.variant_idx == 0 && p1.point.variant_idx == 1,
-                "fig12 sweep grid no longer pairs {8_8_8, +BR+LR+CR} per app");
-    g0s.push_back(p0.perf_increase_pct());
-    g1s.push_back(p1.perf_increase_pct());
-    steered.push_back(100.0 * p1.sim.helper_frac());
-    copies.push_back(100.0 * p1.sim.copy_frac());
-    t.add_row({p0.point.profile.name, TextTable::num(g0s.back(), 1),
+  for (const auto& row : rows_of(res, {"8_8_8", "8_8_8+BR+LR+CR"})) {
+    g0s.push_back(row[0]->perf_increase_pct());
+    g1s.push_back(row[1]->perf_increase_pct());
+    steered.push_back(100.0 * row[1]->sim.helper_frac());
+    copies.push_back(100.0 * row[1]->sim.copy_frac());
+    t.add_row({row[0]->point.profile.name, TextTable::num(g0s.back(), 1),
                TextTable::num(g1s.back(), 1)});
   }
   t.add_row({"AVG", TextTable::num(avg(g0s), 1), TextTable::num(avg(g1s), 1)});

@@ -11,11 +11,11 @@ int main() {
 
   TextTable t({"app", "distance (uops)", "p90"});
   std::vector<double> means;
-  for (const std::string& app : spec_names()) {
-    const Trace& tr = cached_trace(spec_profile(app), default_trace_len());
-    const DistanceStats s = producer_consumer_distance(tr);
+  for (const WorkloadProfile& app : spec_int_2000_profiles()) {
+    const DistanceStats s =
+        producer_consumer_distance(*acquire_trace(app, default_trace_len()));
     means.push_back(s.mean());
-    t.add_row({app, TextTable::num(s.mean(), 2),
+    t.add_row({app.name, TextTable::num(s.mean(), 2),
                std::to_string(s.distance.quantile(0.9))});
   }
   t.add_row({"AVG", TextTable::num(avg(means), 2), ""});

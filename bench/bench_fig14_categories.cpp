@@ -2,12 +2,12 @@
 // best steering (IR) over 409 generated applications in 7 categories, plus
 // the per-app S-curve summary (baseline = 1).
 //
-// The per-app trace length is reduced relative to the SPEC benches to keep
-// 409 x 2 simulations tractable; HCSIM_FIG14_LEN overrides it.
+// Driven by the exp/ sweep engine ("fig14": the 409 apps x {+IR} at 40k
+// µops, shorter than the SPEC figures; `hcsim_sweep fig14 --len N` reruns
+// the grid at another length).
 #include <algorithm>
 
 #include "bench_util.hpp"
-#include "util/log.hpp"
 
 using namespace hcsim;
 using namespace hcsim::bench;
@@ -17,17 +17,20 @@ int main() {
          "consistent gains; multimedia/kernels/sfp benefit more than "
          "office/productivity; 11% average over the full set");
 
-  const u64 len = env_u64("HCSIM_FIG14_LEN", 40000);
+  const exp::SweepResult res = run_named_sweep("fig14");
+
+  // The grid is category-major: each category's apps in index order.
   std::vector<double> all_speedups;
   TextTable t({"category", "#traces", "perf increase %", "bar"});
   std::vector<std::pair<std::string, double>> cat_gain;
   for (const WorkloadCategory& cat : workload_categories()) {
     std::vector<double> speedups;
     for (unsigned i = 0; i < cat.num_traces; ++i) {
-      const WorkloadProfile prof = category_app_profile(cat, i);
-      const AppRun run = run_app(prof, steering_ir(), len);
-      speedups.push_back(run.speedup());
-      all_speedups.push_back(run.speedup());
+      const exp::PointResult& pr = res.points.at(all_speedups.size());
+      HCSIM_CHECK(pr.point.profile.name == category_app_profile(cat, i).name,
+                  "fig14 sweep grid is no longer category-major");
+      speedups.push_back(pr.speedup());
+      all_speedups.push_back(pr.speedup());
     }
     const double gain = (geomean(speedups) - 1.0) * 100.0;
     cat_gain.emplace_back(cat.name, gain);

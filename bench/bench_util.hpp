@@ -34,14 +34,6 @@ inline void footer_shape(bool ok, const std::string& what) {
 /// Average of per-app values.
 inline double avg(const std::vector<double>& v) { return exp::mean(v); }
 
-/// The SPEC Int 2000 app order used by every per-app figure.
-inline const std::vector<std::string>& spec_names() {
-  static const std::vector<std::string> kNames = {
-      "bzip2", "crafty", "eon", "gap", "gcc", "gzip",
-      "mcf",   "parser", "perlbmk", "twolf", "vortex", "vpr"};
-  return kNames;
-}
-
 /// Thread count for sweep-driven benches: HCSIM_SWEEP_THREADS, default all
 /// hardware threads (results are thread-count independent; see exp/runner).
 inline exp::RunOptions sweep_options() {
@@ -58,6 +50,25 @@ inline exp::SweepResult run_named_sweep(const std::string& name) {
   auto spec = exp::find_sweep(name);
   HCSIM_CHECK(spec.has_value(), "unknown sweep: " + name);
   return exp::run_sweep(*spec, sweep_options());
+}
+
+/// One row per workload of `res` (a sweep of one seed and one length), in
+/// grid order: row[i] is that workload's point of variants[i]. Aborts if a
+/// workload lacks one of the variants.
+inline std::vector<std::vector<const exp::PointResult*>> rows_of(
+    const exp::SweepResult& res, const std::vector<std::string>& variants) {
+  std::vector<std::vector<const exp::PointResult*>> rows;
+  for (const exp::PointResult& pr : res.points) {
+    const std::size_t w = pr.point.workload_idx;
+    if (w >= rows.size())
+      rows.resize(w + 1, std::vector<const exp::PointResult*>(variants.size()));
+    for (std::size_t i = 0; i < variants.size(); ++i)
+      if (pr.point.variant.name == variants[i]) rows[w][i] = &pr;
+  }
+  for (const auto& row : rows)
+    for (std::size_t i = 0; i < variants.size(); ++i)
+      HCSIM_CHECK(row[i] != nullptr, res.sweep + " has no " + variants[i] + " point");
+  return rows;
 }
 
 }  // namespace hcsim::bench

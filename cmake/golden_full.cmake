@@ -1,14 +1,15 @@
 # Full-length golden test (ctest -L golden_full): rerun every sweep named in
-# MANIFEST at the default 300k-µop trace length on 4 threads and compare each
-# CSV's md5 with the manifest's. --len is passed explicitly so
-# HCSIM_TRACE_LEN cannot shorten the run, and the HCSIM_SAMPLE_* variables
-# are cleared so the environment cannot turn sampling on.
+# MANIFEST at its registered length on 4 threads and compare each CSV's md5
+# with the manifest's. A sweep without a registered length runs at the
+# default 300k µops: HCSIM_TRACE_LEN is cleared so the environment cannot
+# shorten the run, and the HCSIM_SAMPLE_* variables so it cannot turn
+# sampling on.
 # Variables: SWEEP (hcsim_sweep), MANIFEST (tests/golden_full.md5), WORK_DIR.
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
-foreach(var HCSIM_SAMPLE_WARMUP HCSIM_SAMPLE_MEASURE HCSIM_SAMPLE_PERIOD
-            HCSIM_SAMPLE_MAX_WINDOWS)
+foreach(var HCSIM_TRACE_LEN HCSIM_SAMPLE_WARMUP HCSIM_SAMPLE_MEASURE
+            HCSIM_SAMPLE_PERIOD HCSIM_SAMPLE_MAX_WINDOWS)
   unset(ENV{${var}})
 endforeach()
 
@@ -23,7 +24,7 @@ foreach(entry IN LISTS entries)
   set(want ${CMAKE_MATCH_1})
   set(sweep ${CMAKE_MATCH_2})
   set(csv ${WORK_DIR}/${sweep}.csv)
-  execute_process(COMMAND ${SWEEP} ${sweep} --len 300000 --threads 4 --quiet --csv ${csv}
+  execute_process(COMMAND ${SWEEP} ${sweep} --threads 4 --quiet --csv ${csv}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "hcsim_sweep ${sweep} failed (${rc}):\n${out}\n${err}")

@@ -6,7 +6,7 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
-#include "power/power_model.hpp"
+#include "exp/runner.hpp"
 #include "sim/simulator.hpp"
 
 using namespace hcsim;
@@ -20,23 +20,27 @@ int main() {
   //    (8-8-8 + BR + LR + CR + CP + instruction splitting).
   const SteeringConfig steer = steering_ir();
 
-  // 3. Run both machines on the same 200k-µop trace.
-  const AppRun run = run_app(gcc, steer, 200000);
+  // 3. Run both machines on the same 200k-µop trace: a one-point sweep
+  //    (the baseline is every sweep's reference machine).
+  exp::SweepSpec sweep;
+  sweep.workloads = {gcc};
+  sweep.variants = {exp::variant_from_steering(steer)};
+  sweep.trace_lens = {200000};
+  const exp::PointResult run = exp::run_sweep(sweep).points.front();
 
-  std::printf("%s", describe_machine(helper_machine(steer)).c_str());
-  std::printf("\nworkload           : %s (%llu uops)\n", run.app.c_str(),
-              static_cast<unsigned long long>(run.helper.uops));
+  std::printf("%s", describe_machine(run.point.variant.machine).c_str());
+  std::printf("\nworkload           : %s (%llu uops)\n", run.point.profile.name.c_str(),
+              static_cast<unsigned long long>(run.sim.uops));
   std::printf("baseline IPC       : %.3f\n", run.baseline.ipc);
-  std::printf("helper-cluster IPC : %.3f\n", run.helper.ipc);
+  std::printf("helper-cluster IPC : %.3f\n", run.sim.ipc);
   std::printf("speedup            : %.2f%%\n", run.perf_increase_pct());
-  std::printf("steered to helper  : %.1f%%\n", 100.0 * run.helper.helper_frac());
-  std::printf("copy instructions  : %.1f%%\n", 100.0 * run.helper.copy_frac());
-  std::printf("width pred accuracy: %.1f%%\n", 100.0 * run.helper.wp_accuracy());
+  std::printf("steered to helper  : %.1f%%\n", 100.0 * run.sim.helper_frac());
+  std::printf("copy instructions  : %.1f%%\n", 100.0 * run.sim.copy_frac());
+  std::printf("width pred accuracy: %.1f%%\n", 100.0 * run.sim.wp_accuracy());
 
-  // 4. Energy-delay^2 comparison (Section 3.7).
-  const PowerReport pb = analyze_power(run.baseline, monolithic_baseline());
-  const PowerReport ph = analyze_power(run.helper, helper_machine(steer));
+  // 4. Energy-delay^2 comparison (Section 3.7): a sweep point carries the
+  //    power report of both machines.
   std::printf("ED^2 baseline/helper: %.3f (>1 means the helper wins)\n",
-              pb.ed2p / ph.ed2p);
+              run.power_baseline.ed2p / run.power_sim.ed2p);
   return 0;
 }

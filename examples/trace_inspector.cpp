@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   const WorkloadProfile& prof = spec_profile(app);
   const SteeringConfig steer = scheme_by_name(scheme);
 
-  const Trace& trace = cached_trace(prof, default_trace_len());
+  const TraceHandle held = acquire_trace(prof, default_trace_len());
+  const Trace& trace = *held;
   const NarrowDependencyStats nd = narrow_dependency_stats(trace);
   const CarryStats cs = carry_stats(trace);
   const DistanceStats ds = producer_consumer_distance(trace);
@@ -49,12 +50,11 @@ int main(int argc, char** argv) {
               cs.load_confined.percent(), cs.arith_confined.percent());
   std::printf("producer-consumer distance  : %.2f uops\n", ds.mean());
 
-  const AppRun run = run_app(prof, steer);
-  const SimResult& b = run.baseline;
-  const SimResult& h = run.helper;
+  const SimResult b = simulate(monolithic_baseline(), trace);
+  const SimResult h = simulate(helper_machine(steer), trace);
   std::printf("\n== %s vs baseline ==\n", h.config.c_str());
   std::printf("IPC                  : %.3f -> %.3f  (%+.1f%%)\n", b.ipc, h.ipc,
-              run.perf_increase_pct());
+              (h.speedup_vs(b) - 1.0) * 100.0);
   std::printf("baseline bpred acc   : %.1f%%  dl0 %.1f%%  ul1 %.1f%%\n",
               100.0 * (1.0 - static_cast<double>(b.branch_mispredicts) /
                                  static_cast<double>(b.branches ? b.branches : 1)),

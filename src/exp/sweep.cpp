@@ -74,12 +74,38 @@ SweepSpec make_fig06() {
   return s;
 }
 
+SweepSpec make_fig05() {
+  // Figure 5's accuracy table reads the 8_8_8 points; the Section 3.2
+  // confidence-estimator claim compares them with the same machine without
+  // the estimator.
+  SweepSpec s = make_fig06();
+  s.name = "fig05";
+  ConfigVariant noconf = s.variants.front();
+  noconf.name = "8_8_8-noconf";
+  noconf.machine.wpred.use_confidence = false;
+  s.variants.push_back(std::move(noconf));
+  return s;
+}
+
 SweepSpec make_fig12() {
   SweepSpec s;
   s.name = "fig12";
   s.workloads = spec_int_2000_profiles();
   s.variants = {variant_from_steering(steering_888()),
                 variant_from_steering(steering_888_br_lr_cr())};
+  return s;
+}
+
+SweepSpec make_fig14() {
+  // The wrap-up study: every Table 2 category app on the best scheme, at a
+  // shorter length than the SPEC figures so the 409 cells stay cheap.
+  SweepSpec s;
+  s.name = "fig14";
+  for (const WorkloadCategory& cat : workload_categories())
+    for (unsigned i = 0; i < cat.num_traces; ++i)
+      s.workloads.push_back(category_app_profile(cat, i));
+  s.variants = {variant_from_steering(steering_ir())};
+  s.trace_lens = {40000};
   return s;
 }
 
@@ -127,6 +153,32 @@ SweepSpec make_helper_design() {
   return s;
 }
 
+SweepSpec make_predictor_size() {
+  // Section 3.2's width predictor table size (256 entries is the paper's
+  // design point) on the CR machine.
+  SweepSpec s;
+  s.name = "predictor_size";
+  s.workloads = apps({"gcc", "gzip", "twolf", "parser"});
+  for (u32 entries : {16u, 64u, 256u, 1024u, 4096u}) {
+    ConfigVariant v = variant_from_steering(steering_888_br_lr_cr());
+    v.name = "wpred" + std::to_string(entries);
+    v.machine.wpred.entries = entries;
+    s.variants.push_back(std::move(v));
+  }
+  return s;
+}
+
+SweepSpec make_ir_block() {
+  // Per-µop splitting against the block-granularity splitting Section 3.7
+  // proposes.
+  SweepSpec s;
+  s.name = "ir_block";
+  s.workloads = spec_int_2000_profiles();
+  s.variants = {variant_from_steering(steering_ir()),
+                variant_from_steering(steering_ir_block())};
+  return s;
+}
+
 SweepSpec make_rv() {
   // Every bundled RISC-V kernel across the cumulative steering ladder: the
   // real-program counterpart of the `cumulative` sweep.
@@ -153,9 +205,16 @@ struct NamedSweep {
   SweepSpec (*make)();
 };
 constexpr NamedSweep kSweeps[] = {
-    {"fig06", make_fig06},   {"fig12", make_fig12},
-    {"cumulative", make_cumulative}, {"edp", make_edp},
-    {"helper_design", make_helper_design}, {"rv", make_rv},
+    {"fig05", make_fig05},
+    {"fig06", make_fig06},
+    {"fig12", make_fig12},
+    {"fig14", make_fig14},
+    {"cumulative", make_cumulative},
+    {"edp", make_edp},
+    {"helper_design", make_helper_design},
+    {"predictor_size", make_predictor_size},
+    {"ir_block", make_ir_block},
+    {"rv", make_rv},
     {"smoke", make_smoke},
 };
 

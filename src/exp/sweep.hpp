@@ -66,8 +66,10 @@ std::vector<ExperimentPoint> expand(const SweepSpec& spec);
 
 // --- named sweeps (used by the hcsim_sweep CLI and the benches) -----------
 
-/// Registry of predefined sweeps: fig06, fig12, cumulative, edp,
-/// helper_design, rv (bundled RISC-V kernels x cumulative ladder), smoke.
+/// Registry of predefined sweeps, one per paper figure that simulates:
+/// fig05, fig06, fig12, fig14, cumulative, edp, helper_design,
+/// predictor_size, ir_block, rv (bundled RISC-V kernels x cumulative
+/// ladder), and smoke.
 const std::vector<std::string>& sweep_names();
 
 /// Look up a predefined sweep. std::nullopt if the name is unknown.

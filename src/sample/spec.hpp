@@ -71,10 +71,10 @@ inline constexpr u64 kDefaultWarmup = 20000;
 inline constexpr u64 kDefaultMeasure = 80000;
 
 /// Process-wide active spec: initialized from spec_from_env(), overridable
-/// by CLI front-ends. Only two entry points read it, once per call:
-/// exp::run_sweep and run_app/run_app_configs (so the figure benches honour
-/// HCSIM_SAMPLE_*). Everything below them takes the spec as an argument.
-/// Set it before calling them — reads are unsynchronized by design.
+/// by CLI front-ends. One entry point reads it, once per call:
+/// exp::run_sweep (so every sweep and figure bench honours HCSIM_SAMPLE_*).
+/// Everything below it takes the spec as an argument. Set it before
+/// calling run_sweep — reads are unsynchronized by design.
 const SampleSpec& active_sample_spec();
 void set_active_sample_spec(const SampleSpec& spec);
 

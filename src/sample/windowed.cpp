@@ -6,7 +6,6 @@
 #include <span>
 
 #include "core/outcome_model.hpp"
-#include "exp/runner.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -283,38 +282,16 @@ WindowedSimulator::WindowedSimulator(const MachineConfig& cfg, const SampleSpec&
 }
 
 SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len,
-                                     unsigned threads) const {
-  const std::span<const MachineConfig> cfg(&cfg_, 1);
-  const std::vector<WindowRange> plan = plan_windows(spec_, trace_len);
-  if (threads <= 1 || plan.empty())
-    return sampled_pass(cfg, spec_, factory, trace_len).front();
-
-  // Parallel slicing: each window is an independent job — fresh stream,
-  // cold pipeline, the window's warm-up µops — exactly the serial per-window
-  // computation, so the splice below is bit-identical to the serial run.
-  // Windows the trace never reached come back empty.
-  std::vector<std::vector<WindowStats>> slots(plan.size());
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i)
-    jobs.push_back([&, i] { slots[i] = simulate_window(cfg, *factory(), plan[i]); });
-  exp::run_batch(jobs,
-                 std::min<unsigned>(threads, static_cast<unsigned>(
-                                                 std::min<std::size_t>(plan.size(), 4096))),
-                 nullptr);
-  std::vector<WindowStats> windows;
-  for (std::vector<WindowStats>& s : slots)
-    if (!s.empty()) windows.push_back(std::move(s.front()));
-  if (windows.empty()) return full_runs(cfg, spec_, factory, trace_len).front();
-  return splice(spec_, trace_len, cfg_.ticks_per_wide_cycle, std::move(windows));
+                                     unsigned /*threads*/) const {
+  return sampled_pass(std::span<const MachineConfig>(&cfg_, 1), spec_, factory, trace_len)
+      .front();
 }
 
 SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& profile,
-                               u64 n_records, const SampleSpec& spec,
-                               unsigned threads) {
+                               u64 n_records, const SampleSpec& spec) {
   if (n_records == 0) n_records = default_trace_len();
   const WindowedSimulator sim(cfg, spec);
-  return sim.run(workload_stream_factory(profile, n_records), n_records, threads);
+  return sim.run(workload_stream_factory(profile, n_records), n_records);
 }
 
 std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
@@ -326,10 +303,9 @@ std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
 }
 
 SampledResult simulate_sampled(const MachineConfig& cfg, const Trace& trace,
-                               const SampleSpec& spec, unsigned threads) {
+                               const SampleSpec& spec) {
   const WindowedSimulator sim(cfg, spec);
-  return sim.run([&trace] { return open_trace_stream(trace); }, trace.records.size(),
-                 threads);
+  return sim.run([&trace] { return open_trace_stream(trace); }, trace.records.size());
 }
 
 // --- sampled-vs-full error reporting ----------------------------------------

@@ -9,14 +9,13 @@
 // into one SimResult whose derived statistics (IPC, hit rates, ...) are
 // computed from the spliced integer totals.
 //
-// Because a window is a pure function of (machine config, program, record
-// range), the serial run (one stream, one forward pass) and the parallel run
-// (windows sliced across an exp::ThreadPool, one fresh stream per job) are
-// bit-identical — enforced by tests/test_sample.cpp. For the same reason one
-// serial pass can serve several machine configs at once: each window
-// cold-starts a pipeline per config and feeds them all the same record
-// spans, so the configs of a sweep cell (the baseline plus its variants)
-// can read their trace once instead of once per config.
+// A run is one forward pass over one stream. Because a window is a pure
+// function of (machine config, program, record range), one pass can serve
+// several machine configs at once: each window cold-starts a pipeline per
+// config and feeds them all the same record spans, so the configs of a
+// sweep cell (the baseline plus its variants) read their trace once instead
+// of once per config. Parallelism comes from the sweep's jobs, not from
+// slicing one run's windows.
 #pragma once
 
 #include <span>
@@ -59,11 +58,9 @@ class WindowedSimulator {
  public:
   WindowedSimulator(const MachineConfig& cfg, const SampleSpec& spec);
 
-  /// Run the schedule over one trace. threads <= 1: serial, a single
-  /// forward pass over one stream (the one-config case of the multi-config
-  /// simulate_sampled). threads > 1: every window is an independent slice
-  /// job on a thread pool, each opening its own stream and cold-starting at
-  /// its warm-up boundary. Results are bit-identical across thread counts.
+  /// Run the schedule over one trace: a single forward pass over one
+  /// stream (the one-config case of simulate_configs). `threads` is
+  /// ignored; the pass is always serial.
   SampledResult run(const StreamFactory& factory, u64 trace_len,
                     unsigned threads = 1) const;
 
@@ -76,8 +73,7 @@ class WindowedSimulator {
 /// (cached/materialized at or below stream_threshold(), streamed above).
 /// n_records == 0 resolves to default_trace_len().
 SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& profile,
-                               u64 n_records, const SampleSpec& spec,
-                               unsigned threads = 1);
+                               u64 n_records, const SampleSpec& spec);
 
 /// Every config of `cfgs` over the same workload trace in one serial pass:
 /// one stream, and each window feeds a cold pipeline per config the same
@@ -92,7 +88,7 @@ std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
 
 /// Sampled run over an already-materialized trace (loaded .hctrace files).
 SampledResult simulate_sampled(const MachineConfig& cfg, const Trace& trace,
-                               const SampleSpec& spec, unsigned threads = 1);
+                               const SampleSpec& spec);
 
 // --- sampled-vs-full error reporting ---------------------------------------
 

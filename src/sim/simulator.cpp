@@ -44,44 +44,11 @@ SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& pro
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
                             u64 n_records, const sample::SampleSpec& spec) {
   if (n_records == 0) n_records = default_trace_len();
-  // Windows stay serial here because callers (the sweep runner, the
-  // daemon) already parallelize across jobs.
   if (spec.enabled())
     return sample::simulate_sampled(cfg, profile, n_records, spec).total;
   if (n_records <= stream_threshold())
     return simulate(cfg, *acquire_trace(profile, n_records));
   return simulate_streamed(cfg, profile, n_records);
-}
-
-AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
-               u64 n_records) {
-  MultiRun run = run_app_configs(profile, std::span<const SteeringConfig>(&steer, 1),
-                                 n_records);
-  return AppRun{std::move(run.app), std::move(run.baseline), std::move(run.configs[0])};
-}
-
-MultiRun run_app_configs(const WorkloadProfile& profile,
-                         std::span<const SteeringConfig> configs, u64 n_records) {
-  if (n_records == 0) n_records = default_trace_len();
-  const sample::SampleSpec spec = sample::active_sample_spec();
-  // Every run below reads this one generation of the trace.
-  const TraceHandle hold =
-      n_records <= stream_threshold() ? acquire_trace(profile, n_records) : nullptr;
-  MultiRun run;
-  run.app = profile.name;
-  run.baseline = simulate_workload(monolithic_baseline(), profile, n_records, spec);
-  run.configs.reserve(configs.size());
-  for (const SteeringConfig& sc : configs)
-    run.configs.push_back(
-        simulate_workload(helper_machine(sc), profile, n_records, spec));
-  return run;
-}
-
-std::vector<AppRun> run_spec_suite(const SteeringConfig& steer, u64 n_records) {
-  std::vector<AppRun> runs;
-  for (const WorkloadProfile& p : spec_int_2000_profiles())
-    runs.push_back(run_app(p, steer, n_records));
-  return runs;
 }
 
 std::string describe_machine(const MachineConfig& cfg) {

@@ -1,13 +1,12 @@
 // hcsim — top-level simulation facade shared by examples, benches and tests.
 //
-// Wraps workload generation, the shared trace cache (trace_cache.hpp: a
-// trace lives while the jobs that read it run), and the
-// baseline-vs-helper-cluster comparison that every figure reports.
+// Wraps workload generation and the shared trace cache (trace_cache.hpp: a
+// trace lives while the jobs that read it run): one workload on one machine
+// config. The baseline-vs-helper-cluster comparison every figure reports is
+// a sweep (exp/runner.hpp).
 #pragma once
 
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/pipeline.hpp"
 #include "sample/spec.hpp"
@@ -38,39 +37,6 @@ SimResult simulate_streamed(const MachineConfig& cfg, const WorkloadProfile& pro
 /// n_records == 0 resolves to default_trace_len().
 SimResult simulate_workload(const MachineConfig& cfg, const WorkloadProfile& profile,
                             u64 n_records, const sample::SampleSpec& spec);
-
-/// One application simulated on the monolithic baseline and on a helper
-/// cluster configuration.
-struct AppRun {
-  std::string app;
-  SimResult baseline;
-  SimResult helper;
-  double speedup() const { return helper.speedup_vs(baseline); }
-  double perf_increase_pct() const { return (speedup() - 1.0) * 100.0; }
-};
-
-/// Baseline and helper runs of one application, sharing one generation of
-/// its trace. The active sample spec (sample::active_sample_spec(),
-/// HCSIM_SAMPLE_*) is read once per call and applies to both runs — the
-/// figure benches' sampling knob.
-AppRun run_app(const WorkloadProfile& profile, const SteeringConfig& steer,
-               u64 n_records = 0);
-
-/// One application against several steering configurations (one generation
-/// of the trace, held for the call, and a shared baseline run), under the
-/// active sample spec read once per call.
-struct MultiRun {
-  std::string app;
-  SimResult baseline;
-  std::vector<SimResult> configs;
-};
-
-MultiRun run_app_configs(const WorkloadProfile& profile,
-                         std::span<const SteeringConfig> configs,
-                         u64 n_records = 0);
-
-/// The 12-app SPEC Int 2000 sweep used by most figures.
-std::vector<AppRun> run_spec_suite(const SteeringConfig& steer, u64 n_records = 0);
 
 /// Print the Table 1 machine parameters.
 std::string describe_machine(const MachineConfig& cfg);

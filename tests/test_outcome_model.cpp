@@ -26,12 +26,15 @@ namespace {
 
 constexpr u64 kLen = 20000;
 
-/// Every config of the cumulative, fig06, edp and helper_design sweeps,
-/// baselines included. helper_design's widths 4 and 16 give it three
-/// outcome keys.
+/// Every config of the cumulative, fig06, edp, helper_design, fig05,
+/// predictor_size and ir_block sweeps, baselines included. helper_design's
+/// widths 4 and 16 give it three outcome keys; fig05's machine without the
+/// confidence estimator and predictor_size's four table sizes other than
+/// 256 give five more.
 std::vector<MachineConfig> sweep_configs() {
   std::vector<MachineConfig> cfgs;
-  for (const char* name : {"cumulative", "fig06", "edp", "helper_design"}) {
+  for (const char* name : {"cumulative", "fig06", "edp", "helper_design", "fig05",
+                           "predictor_size", "ir_block"}) {
     const std::optional<exp::SweepSpec> spec = exp::find_sweep(name);
     cfgs.push_back(spec->baseline);
     for (const exp::ConfigVariant& v : spec->variants) cfgs.push_back(v.machine);
@@ -87,7 +90,7 @@ u64 hits(double rate, u64 accesses) {
 TEST(Outcomes, SharedMatchesPrivate) {
   const std::vector<MachineConfig> cfgs = sweep_configs();
   const std::vector<std::size_t> classes = outcome_classes(cfgs);
-  EXPECT_EQ(*std::max_element(classes.begin(), classes.end()), 2u);
+  EXPECT_EQ(*std::max_element(classes.begin(), classes.end()), 7u);
 
   std::vector<WorkloadProfile> workloads = spec_int_2000_profiles();
   const std::vector<WorkloadProfile> rv = rv::rv_workload_profiles();

@@ -1,6 +1,7 @@
 // Tests for the wattch-style power model.
 #include <gtest/gtest.h>
 
+#include "exp/runner.hpp"
 #include "power/power_model.hpp"
 #include "sim/simulator.hpp"
 
@@ -85,9 +86,13 @@ TEST(Power, EndToEndEd2Comparison) {
   // Section 3.7: the helper cluster in its most aggressive configuration is
   // ED^2-favourable versus the baseline (paper: 5.1% better). Check the
   // direction on a real run.
-  const AppRun run = run_app(spec_profile("gcc"), steering_ir(), 30000);
-  const PowerReport pb = analyze_power(run.baseline, monolithic_baseline());
-  const PowerReport ph = analyze_power(run.helper, helper_machine(steering_ir()));
+  exp::SweepSpec spec;
+  spec.workloads = {spec_profile("gcc")};
+  spec.variants = {exp::variant_from_steering(steering_ir())};
+  spec.trace_lens = {30000};
+  const exp::PointResult run = exp::run_sweep(spec).points.front();
+  const PowerReport& pb = run.power_baseline;
+  const PowerReport& ph = run.power_sim;
   EXPECT_LT(ph.ed2p, pb.ed2p);
   // Energy itself goes up (extra cluster, fast clock tree, copies).
   EXPECT_GT(ph.energy, pb.energy);

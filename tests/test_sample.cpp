@@ -1,10 +1,10 @@
 // src/sample — warm-up/measure sampling windows.
 //
 // The load-bearing property is the checkpoint contract: a window is a pure
-// function of (machine config, program, record range), so the serial
-// windowed run, the thread-pool-sliced parallel run, and the same schedule
+// function of (machine config, program, record range), so the same schedule
 // over any of the three record-stream backends (materialized trace,
-// synthetic cursor, RV kernel executor) must all be bit-identical.
+// synthetic cursor, RV kernel executor), and one pass over several configs,
+// must all be bit-identical to a single config's windowed run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "rv/kernels.hpp"
 #include "sample/record_stream.hpp"
 #include "sample/spec.hpp"
@@ -195,20 +196,6 @@ SampleSpec test_spec() {
   return s;
 }
 
-TEST(Windowed, SerialAndParallelBitIdentical) {
-  const WorkloadProfile& prof = spec_profile("gcc");
-  for (const MachineConfig& cfg :
-       {monolithic_baseline(), helper_machine(steering_888_br_lr_cr())}) {
-    const SampledResult serial = simulate_sampled(cfg, prof, kLen, test_spec(), 1);
-    const SampledResult parallel = simulate_sampled(cfg, prof, kLen, test_spec(), 4);
-    ASSERT_TRUE(serial.sampled);
-    EXPECT_EQ(serial.trace_len, kLen);
-    EXPECT_EQ(serial.windows.size(), 6u);
-    EXPECT_EQ(serial.trace_len, parallel.trace_len);
-    expect_identical(serial, parallel);
-  }
-}
-
 TEST(Windowed, CursorStreamMatchesMaterializedTrace) {
   // A tiny stream threshold forces the profile-based run onto the synthetic
   // generator cursor; the Trace overload simulates the materialized records.
@@ -222,30 +209,27 @@ TEST(Windowed, CursorStreamMatchesMaterializedTrace) {
   const WorkloadProfile& prof = spec_profile("bzip2");
   const MachineConfig cfg = helper_machine(steering_ir());
 
-  const SampledResult streamed = simulate_sampled(cfg, prof, 20000, spec, 1);
+  const SampledResult streamed = simulate_sampled(cfg, prof, 20000, spec);
   const SampledResult materialized =
-      simulate_sampled(cfg, cached_trace(prof, 20000), spec, 1);
+      simulate_sampled(cfg, cached_trace(prof, 20000), spec);
   ASSERT_TRUE(streamed.sampled);
   ASSERT_EQ(streamed.windows.size(), 4u);
   EXPECT_EQ(streamed.windows.back().range.measure, 200u);
   expect_identical(streamed, materialized);
-  // And the parallel sliced run agrees with both.
-  expect_identical(streamed, simulate_sampled(cfg, prof, 20000, spec, 3));
 }
 
 TEST(Windowed, RvKernelStreamBitIdentical) {
   // Below the threshold the RV kernel is materialized through cached_trace;
-  // above it each window job re-executes the kernel from entry. Both paths
-  // and all thread counts must agree.
+  // above it the stream re-executes the kernel from entry. Both paths must
+  // agree.
   EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");
   const WorkloadProfile prof = rv::rv_workload_profile("crc32");
   const MachineConfig cfg = helper_machine(steering_888_br_lr_cr());
   const SampleSpec spec = test_spec();
 
-  const SampledResult executor = simulate_sampled(cfg, prof, kLen, spec, 1);
+  const SampledResult executor = simulate_sampled(cfg, prof, kLen, spec);
   ASSERT_TRUE(executor.sampled);
-  expect_identical(executor, simulate_sampled(cfg, rv::kernel_trace("crc32", kLen), spec, 1));
-  expect_identical(executor, simulate_sampled(cfg, prof, kLen, spec, 4));
+  expect_identical(executor, simulate_sampled(cfg, rv::kernel_trace("crc32", kLen), spec));
 }
 
 TEST(Windowed, RvKernelStreamEndsWhereKernelTraceEnds) {
@@ -280,10 +264,9 @@ TEST(Windowed, RvKernelStreamEndsWhereKernelTraceEnds) {
   spec.measure = 1500;
   spec.period = 2500;  // the last window is [10000, 12000)
   const MachineConfig cfg = helper_machine(steering_888_br_lr_cr());
-  const SampledResult sampled = simulate_sampled(cfg, prof, 12000, spec, 1);
+  const SampledResult sampled = simulate_sampled(cfg, prof, 12000, spec);
   EXPECT_EQ(sampled.windows.back().range.measure, 1499u);
-  expect_identical(sampled, simulate_sampled(cfg, trace, spec, 1));
-  expect_identical(sampled, simulate_sampled(cfg, prof, 12000, spec, 3));
+  expect_identical(sampled, simulate_sampled(cfg, trace, spec));
   const std::vector<SampledResult> full =
       simulate_configs(std::span<const MachineConfig>(&cfg, 1), prof, 12000, SampleSpec{});
   expect_identical(full.front().total, simulate_streamed(cfg, prof, 12000));
@@ -295,7 +278,7 @@ TEST(Windowed, FallsBackToFullRunOnShortTrace) {
   spec.measure = 1000;
   const WorkloadProfile& prof = spec_profile("mcf");
   const MachineConfig cfg = monolithic_baseline();
-  const SampledResult r = simulate_sampled(cfg, prof, 10000, spec, 2);
+  const SampledResult r = simulate_sampled(cfg, prof, 10000, spec);
   EXPECT_FALSE(r.sampled);
   EXPECT_TRUE(r.windows.empty());
   expect_identical(r.total, simulate(cfg, cached_trace(prof, 10000)));
@@ -303,9 +286,10 @@ TEST(Windowed, FallsBackToFullRunOnShortTrace) {
 
 TEST(Windowed, MeasuredUopsAddUp) {
   const WorkloadProfile& prof = spec_profile("gzip");
-  const SampledResult r =
-      simulate_sampled(monolithic_baseline(), prof, kLen, test_spec(), 1);
+  const SampledResult r = simulate_sampled(monolithic_baseline(), prof, kLen, test_spec());
   ASSERT_TRUE(r.sampled);
+  EXPECT_EQ(r.trace_len, kLen);
+  EXPECT_EQ(r.windows.size(), 6u);
   u64 measured = 0, simulated = 0;
   for (const WindowStats& w : r.windows) {
     measured += w.range.measure;
@@ -335,7 +319,7 @@ void expect_pass_matches_single_runs(const std::vector<MachineConfig>& cfgs,
   ASSERT_EQ(pass.size(), cfgs.size());
   for (std::size_t k = 0; k < cfgs.size(); ++k) {
     SCOPED_TRACE("config " + std::to_string(k));
-    const SampledResult single = simulate_sampled(cfgs[k], prof, len, spec, 1);
+    const SampledResult single = simulate_sampled(cfgs[k], prof, len, spec);
     EXPECT_EQ(pass[k].trace_len, single.trace_len);
     EXPECT_EQ(pass[k].total.config, single.total.config);
     expect_identical(pass[k], single);
@@ -464,18 +448,23 @@ TEST(Windowed, SpecArgumentRoutesSimulateWorkload) {
                    simulate_sampled(cfg, prof, kLen, test_spec()).total);
 }
 
-TEST(Windowed, ActiveSpecRoutesRunApp) {
-  // The figure benches sample through HCSIM_SAMPLE_*: run_app reads the
-  // active spec and runs both of its machines under it.
+TEST(Windowed, ActiveSpecRoutesRunSweep) {
+  // Sweeps, and so the figure benches, sample through HCSIM_SAMPLE_*:
+  // run_sweep reads the active spec and runs every machine of a cell under
+  // it.
   const WorkloadProfile& prof = spec_profile("parser");
+  exp::SweepSpec sweep;
+  sweep.workloads = {prof};
+  sweep.variants = {exp::variant_from_steering(steering_ir())};
+  sweep.trace_lens = {kLen};
   set_active_sample_spec(test_spec());
-  const AppRun run = run_app(prof, steering_ir(), kLen);
+  const exp::PointResult run = exp::run_sweep(sweep).points.front();
   set_active_sample_spec(SampleSpec{});  // restore: sampling off
   const MachineConfig base = monolithic_baseline();
   const MachineConfig helper = helper_machine(steering_ir());
   expect_identical(run.baseline, simulate_sampled(base, prof, kLen, test_spec()).total);
-  expect_identical(run.helper, simulate_sampled(helper, prof, kLen, test_spec()).total);
-  expect_identical(run_app(prof, steering_ir(), kLen).helper,
+  expect_identical(run.sim, simulate_sampled(helper, prof, kLen, test_spec()).total);
+  expect_identical(exp::run_sweep(sweep).points.front().sim,
                    simulate(helper, cached_trace(prof, kLen)));
 }
 
@@ -492,7 +481,7 @@ TEST(Windowed, SampledTracksFullRunLoosely) {
   spec.warmup = 2000;
   spec.measure = 4000;  // ~20 windows via auto period
   const SimResult full = simulate(cfg, cached_trace(prof, kFullLen));
-  const SampledResult sampled = simulate_sampled(cfg, prof, kFullLen, spec, 2);
+  const SampledResult sampled = simulate_sampled(cfg, prof, kFullLen, spec);
   ASSERT_TRUE(sampled.sampled);
 
   const std::vector<SampleError> errors = sampling_errors(full, sampled.total);
@@ -509,8 +498,8 @@ TEST(Windowed, SampledTracksFullRunLoosely) {
 }
 
 TEST(Windowed, WindowTableRenders) {
-  const SampledResult r = simulate_sampled(monolithic_baseline(), spec_profile("gap"),
-                                           kLen, test_spec(), 1);
+  const SampledResult r =
+      simulate_sampled(monolithic_baseline(), spec_profile("gap"), kLen, test_spec());
   const std::string table = render_window_table(r);
   EXPECT_NE(table.find("window"), std::string::npos);
   EXPECT_EQ(std::count(table.begin(), table.end(), '\n'),

@@ -1,6 +1,11 @@
 // Tests for the simulation facade.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "exp/runner.hpp"
 #include "sim/simulator.hpp"
 
 namespace hcsim {
@@ -15,31 +20,45 @@ TEST(Simulator, CachedTraceReturnsSameObject) {
   EXPECT_NE(&a, &c);
 }
 
-TEST(Simulator, RunAppProducesBothMachines) {
-  const AppRun run = run_app(spec_profile("gcc"), steering_888(), 10000);
-  EXPECT_EQ(run.app, "gcc");
+/// One sweep of `apps` x `steers` at `len` µops.
+exp::SweepResult sweep_of(std::vector<WorkloadProfile> apps,
+                          const std::vector<SteeringConfig>& steers, u64 len) {
+  exp::SweepSpec spec;
+  spec.workloads = std::move(apps);
+  for (const SteeringConfig& s : steers)
+    spec.variants.push_back(exp::variant_from_steering(s));
+  spec.trace_lens = {len};
+  return exp::run_sweep(spec);
+}
+
+TEST(Simulator, SweepPointProducesBothMachines) {
+  const exp::SweepResult res = sweep_of({spec_profile("gcc")}, {steering_888()}, 10000);
+  ASSERT_EQ(res.points.size(), 1u);
+  const exp::PointResult& run = res.points.front();
+  EXPECT_EQ(run.point.profile.name, "gcc");
   EXPECT_EQ(run.baseline.uops, 10000u);
-  EXPECT_EQ(run.helper.uops, 10000u);
+  EXPECT_EQ(run.sim.uops, 10000u);
   EXPECT_EQ(run.baseline.config, "baseline");
-  EXPECT_EQ(run.helper.config, "8_8_8");
+  EXPECT_EQ(run.sim.config, "8_8_8");
   EXPECT_GT(run.speedup(), 0.0);
   EXPECT_NEAR(run.perf_increase_pct(), (run.speedup() - 1.0) * 100.0, 1e-12);
 }
 
-TEST(Simulator, MultiRunSharesBaseline) {
-  const std::vector<SteeringConfig> cfgs = {steering_888(), steering_ir()};
-  const MultiRun run = run_app_configs(spec_profile("gzip"), cfgs, 10000);
-  ASSERT_EQ(run.configs.size(), 2u);
-  EXPECT_EQ(run.configs[0].config, "8_8_8");
-  EXPECT_EQ(run.configs[1].config, "8_8_8+BR+LR+CR+CP+IR");
-  EXPECT_EQ(run.baseline.uops, run.configs[0].uops);
+TEST(Simulator, SweepCellSharesBaseline) {
+  const exp::SweepResult res =
+      sweep_of({spec_profile("gzip")}, {steering_888(), steering_ir()}, 10000);
+  ASSERT_EQ(res.points.size(), 2u);
+  EXPECT_EQ(res.points[0].sim.config, "8_8_8");
+  EXPECT_EQ(res.points[1].sim.config, "8_8_8+BR+LR+CR+CP+IR");
+  EXPECT_EQ(res.points[0].baseline.uops, res.points[0].sim.uops);
+  EXPECT_EQ(res.points[0].baseline.final_tick, res.points[1].baseline.final_tick);
 }
 
 TEST(Simulator, SpecSuiteCoversAllApps) {
-  const auto runs = run_spec_suite(steering_888(), 5000);
-  ASSERT_EQ(runs.size(), 12u);
+  const exp::SweepResult res = sweep_of(spec_int_2000_profiles(), {steering_888()}, 5000);
+  ASSERT_EQ(res.points.size(), 12u);
   std::set<std::string> names;
-  for (const auto& r : runs) names.insert(r.app);
+  for (const auto& r : res.points) names.insert(r.point.profile.name);
   EXPECT_EQ(names.size(), 12u);
 }
 

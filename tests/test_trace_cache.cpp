@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "sim/simulator.hpp"
 
 namespace hcsim {
@@ -119,13 +120,16 @@ TEST(TraceCache, KeyCoversTheWholeProfile) {
   }
 }
 
-TEST(TraceCache, RunAppConfigsGeneratesItsTraceOnce) {
-  // The baseline and both configs read one generation, held for the call.
-  const WorkloadProfile p = profile_with_seed("parser", 4207);
-  const std::vector<SteeringConfig> cfgs = {steering_888(), steering_ir()};
+TEST(TraceCache, SweepCellGeneratesItsTraceOnce) {
+  // The baseline and both configs read one generation, held for the sweep.
+  exp::SweepSpec spec;
+  spec.workloads = {profile_with_seed("parser", 4207)};
+  spec.variants = {exp::variant_from_steering(steering_888()),
+                   exp::variant_from_steering(steering_ir())};
+  spec.trace_lens = {2500};
   const u64 generated = trace_cache_stats().generated;
-  const MultiRun run = run_app_configs(p, cfgs, 2500);
-  EXPECT_EQ(run.configs.size(), 2u);
+  const exp::SweepResult res = exp::run_sweep(spec);
+  EXPECT_EQ(res.points.size(), 2u);
   EXPECT_EQ(trace_cache_stats().generated - generated, 1u);
   EXPECT_EQ(trace_cache_stats().live, 0u);
 }

@@ -5,7 +5,7 @@
 //   hcsim_run <trace.hctrace|profile-name> [scheme] [n_uops]
 //             [--sampled] [--sample-warmup N] [--sample-measure N]
 //             [--sample-period N] [--sample-windows N]
-//             [--threads N] [--compare-full] [--verbose]
+//             [--compare-full] [--verbose]
 //
 // --verbose additionally dumps every raw event counter (bb_cache_*,
 // issue_*, rf_write_*, ...) after the summary.
@@ -15,9 +15,8 @@
 // Sampling: --sampled switches to warm-up/measure windowed simulation
 // (defaults warmup=20000 measure=80000, period auto ~20 windows) and prints
 // the per-window table; any --sample-* flag implies --sampled and overrides
-// the HCSIM_SAMPLE_* environment. --threads N slices the windows across a
-// thread pool (bit-identical to --threads 1). --compare-full additionally
-// runs the full simulation and prints the sampled-vs-full error per metric.
+// the HCSIM_SAMPLE_* environment. --compare-full additionally runs the full
+// simulation and prints the sampled-vs-full error per metric.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,7 +55,7 @@ int usage(const char* argv0) {
                "usage: %s <trace.hctrace|profile> [scheme] [n_uops]\n"
                "          [--sampled] [--sample-warmup N] [--sample-measure N]\n"
                "          [--sample-period N] [--sample-windows N]\n"
-               "          [--threads N] [--compare-full] [--verbose]\n",
+               "          [--compare-full] [--verbose]\n",
                argv0);
   return 2;
 }
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
   bool sampled = spec.enabled();
   bool compare_full = false;
   bool verbose = false;
-  unsigned threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -145,9 +143,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--sample-windows") {
       spec.max_windows = parse_u64("--sample-windows", next(), /*allow_zero=*/true);
       sampled = true;
-    } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(
-          parse_u64("--threads", next(), /*allow_zero=*/false));
     } else if (arg == "--compare-full") {
       compare_full = true;
       sampled = true;
@@ -200,8 +195,8 @@ int main(int argc, char** argv) {
   }
 
   const sample::SampledResult sr =
-      from_profile ? sample::simulate_sampled(cfg, spec_profile(source), n, spec, threads)
-                   : sample::simulate_sampled(cfg, owned, spec, threads);
+      from_profile ? sample::simulate_sampled(cfg, spec_profile(source), n, spec)
+                   : sample::simulate_sampled(cfg, owned, spec);
   std::printf("\nsampling      : %s\n", spec.describe().c_str());
   if (!sr.sampled) {
     std::printf("trace too short for the schedule; fell back to a full run\n");

@@ -12,7 +12,8 @@
 //                       [--retry-backoff-ms N] [--timeout-ms N] [--no-fallback]
 //   hcsim_sweep --connect SOCK --shutdown
 //
-// sweep: fig06 fig12 cumulative edp helper_design rv smoke
+// sweep: fig05 fig06 fig12 fig14 cumulative edp helper_design predictor_size
+//        ir_block rv smoke (hcsim_sweep list prints each grid's size)
 // --threads 0 uses every hardware thread; --threads 1 (default) runs
 // serially. Results are identical across thread counts.
 //
