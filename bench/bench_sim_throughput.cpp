@@ -1,121 +1,16 @@
-// Simulator micro-benchmarks (google-benchmark): trace generation rate,
-// pipeline simulation rate, and predictor lookup cost. These guard the
-// repository's own performance, not a paper figure.
+// Component micro-benchmarks (google-benchmark): the ClusterEpoch
+// resource engine and the width predictor, alone. These guard the
+// repository's own performance, not a paper figure; the whole-pipeline
+// rates (trace generation, baseline, helper+IR, streamed, sampled) are
+// hcsim_bench's.
 #include <benchmark/benchmark.h>
 
-#include <span>
-
-#include "bbcache/bb_cache.hpp"
 #include "core/cluster_epoch.hpp"
 #include "predict/width_predictor.hpp"
-#include "sample/spec.hpp"
-#include "sample/windowed.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
 using namespace hcsim;
-
-void BM_TraceGeneration(benchmark::State& state) {
-  const WorkloadProfile& prof = spec_profile("gcc");
-  const u64 n = static_cast<u64>(state.range(0));
-  for (auto _ : state) {
-    Trace t = generate_trace(prof, n);
-    benchmark::DoNotOptimize(t.records.data());
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(n));
-}
-BENCHMARK(BM_TraceGeneration)->Arg(10000)->Arg(100000);
-
-void BM_PipelineBaseline(benchmark::State& state) {
-  const Trace& t = cached_trace(spec_profile("gcc"), static_cast<u64>(state.range(0)));
-  const MachineConfig cfg = monolithic_baseline();
-  for (auto _ : state) {
-    SimResult r = simulate(cfg, t);
-    benchmark::DoNotOptimize(r.final_tick);
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_PipelineBaseline)->Arg(10000)->Arg(100000);
-
-void BM_PipelineBatched(benchmark::State& state) {
-  // The intended hot path: a decode cache shared across runs (as the sweep
-  // drivers share it across a config's workloads) + the batched SoA feed.
-  // After the first iteration every template replays from the cache.
-  const Trace& t = cached_trace(spec_profile("gcc"), static_cast<u64>(state.range(0)));
-  const MachineConfig cfg = monolithic_baseline();
-  DecodeCache cache(/*enabled=*/true);
-  for (auto _ : state) {
-    Pipeline p(cfg, t.program, &cache);
-    p.feed(std::span<const TraceRecord>(t.records));
-    SimResult r = p.finish();
-    benchmark::DoNotOptimize(r.final_tick);
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_PipelineBatched)->Arg(10000)->Arg(100000);
-
-void BM_PipelineBatchedNoCache(benchmark::State& state) {
-  // Cache-disabled twin of BM_PipelineBatched: identical feed path, but
-  // every record re-cracks its template (the HCSIM_BBCACHE=0 debug mode).
-  // The gap between the two is the decode cache's contribution alone.
-  const Trace& t = cached_trace(spec_profile("gcc"), static_cast<u64>(state.range(0)));
-  const MachineConfig cfg = monolithic_baseline();
-  DecodeCache cache(/*enabled=*/false);
-  for (auto _ : state) {
-    Pipeline p(cfg, t.program, &cache);
-    p.feed(std::span<const TraceRecord>(t.records));
-    SimResult r = p.finish();
-    benchmark::DoNotOptimize(r.final_tick);
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_PipelineBatchedNoCache)->Arg(10000)->Arg(100000);
-
-void BM_PipelineHelperIr(benchmark::State& state) {
-  const Trace& t = cached_trace(spec_profile("gcc"), static_cast<u64>(state.range(0)));
-  const MachineConfig cfg = helper_machine(steering_ir());
-  for (auto _ : state) {
-    SimResult r = simulate(cfg, t);
-    benchmark::DoNotOptimize(r.final_tick);
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_PipelineHelperIr)->Arg(10000)->Arg(100000);
-
-void BM_PipelineStreamed(benchmark::State& state) {
-  // Fused generation + simulation through the streaming cursor: the path
-  // long runs take (no materialized trace), including the generator cost.
-  const WorkloadProfile& prof = spec_profile("gcc");
-  const MachineConfig cfg = monolithic_baseline();
-  const u64 n = static_cast<u64>(state.range(0));
-  for (auto _ : state) {
-    SimResult r = simulate_streamed(cfg, prof, n);
-    benchmark::DoNotOptimize(r.final_tick);
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_PipelineStreamed)->Arg(10000)->Arg(100000);
-
-void BM_PipelineSampled(benchmark::State& state) {
-  // Warm-up/measure sampled simulation: 5 windows of 1% warm-up + 4% measure
-  // feed ~25% of the trace. Items processed counts every trace µop *covered*
-  // (simulated or skipped), so the ratio to BM_PipelineStreamed is the
-  // sampling speedup at this schedule.
-  const WorkloadProfile& prof = spec_profile("gcc");
-  const MachineConfig cfg = monolithic_baseline();
-  const u64 n = static_cast<u64>(state.range(0));
-  sample::SampleSpec spec;
-  spec.warmup = n / 100;
-  spec.measure = n / 25;
-  spec.period = n / 5;
-  for (auto _ : state) {
-    sample::SampledResult r = sample::simulate_sampled(cfg, prof, n, spec);
-    benchmark::DoNotOptimize(r.total.final_tick);
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_PipelineSampled)->Arg(10000)->Arg(100000);
 
 void BM_ClusterEpoch(benchmark::State& state) {
   // The fused per-cluster resource engine alone: a synthetic dispatch

@@ -60,13 +60,4 @@ u64& CounterArray::operator[](std::string_view name) {
   return (*this)[c];
 }
 
-CounterBag CounterArray::to_bag() const {
-  CounterBag bag;
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    const std::string name(kCounterNames[i]);
-    bag[name] = v_[i];
-  }
-  return bag;
-}
-
 }  // namespace hcsim

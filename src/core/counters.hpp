@@ -4,13 +4,12 @@
 // a string-keyed map there costs a hash/tree lookup per event. Counters are
 // therefore a fixed enum indexing a flat array — O(1) increments with no
 // allocation — while the string names every reporting consumer relies on
-// are preserved through a static name table and the to_bag() bridge.
+// are preserved through a static name table.
 #pragma once
 
 #include <array>
 #include <string_view>
 
-#include "util/stats.hpp"
 #include "util/types.hpp"
 
 namespace hcsim {
@@ -59,8 +58,7 @@ std::string_view counter_name(Counter c);
 Counter counter_from_name(std::string_view name);
 
 /// Flat array of all counters. Enum indexing is the hot path; the string
-/// accessors exist for tests/reporting and tolerate unknown names the same
-/// way CounterBag does (reads of unknown names yield 0).
+/// accessors exist for tests/reporting (reads of unknown names yield 0).
 class CounterArray {
  public:
   u64& operator[](Counter c) { return v_[static_cast<std::size_t>(c)]; }
@@ -70,9 +68,6 @@ class CounterArray {
   /// Name-based access for tests and reporting (not for the hot path).
   u64 get(std::string_view name) const;
   u64& operator[](std::string_view name);  // checks the name is known
-
-  /// Bridge for consumers that want the legacy named-map view.
-  CounterBag to_bag() const;
 
  private:
   std::array<u64, kNumCounters> v_{};

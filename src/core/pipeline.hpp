@@ -88,9 +88,9 @@ class Pipeline {
   /// *machine-state* half is deliberately reset-plus-warmup instead of
   /// snapshot/restore: a window re-simulated from a cold Pipeline after K
   /// warm-up µops is a pure function of (config, program, record range), so
-  /// window slices can run on any thread in any order and still splice
-  /// bit-identically to the serial windowed run — a mutable snapshot of
-  /// predictors/caches/schedulers would reintroduce cross-window ordering.
+  /// its result does not depend on the windows simulated before it — a
+  /// mutable snapshot of predictors/caches/schedulers carried from window
+  /// to window would make it depend on them.
   struct StatsCheckpoint {
     SimResult res;
     u64 dl0_hits = 0, dl0_accesses = 0;

@@ -64,8 +64,8 @@ struct SimResult {
   double ul1_hit_rate = 0.0;
 
   // --- misc event counts (power model input) --------------------------------
-  // Enum-indexed on the hot path; string lookups and the CounterBag bridge
-  // (counters.to_bag()) remain available for reporting consumers.
+  // Enum-indexed on the hot path; string lookups (counters.get("name"))
+  // remain available for reporting consumers.
   CounterArray counters;
 
   // --- derived -----------------------------------------------------------

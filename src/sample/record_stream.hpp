@@ -10,9 +10,9 @@
 //                          without building records)
 //   - KernelRecordStream — a resumable RV executor cursor (seeks execute
 //                          and discard the gap)
-// All three deliver bit-identical records for the same range, so serial
-// windowed runs (one stream, windows in trace order) and parallel sliced
-// runs (a fresh stream per window job) agree exactly.
+// All three deliver bit-identical records for the same range, so a
+// windowed run (one stream, windows in trace order) gives the same result
+// on any of them.
 #pragma once
 
 #include <functional>
@@ -50,8 +50,8 @@ inline constexpr u64 kSeekWarnThreshold = 10'000'000;
 void note_forward_seek(const char* backend, u64 n_discard);
 
 /// Creates an independent stream over the same trace. Factories are
-/// immutable and safe to invoke concurrently — each parallel window job
-/// opens its own stream.
+/// immutable and safe to invoke concurrently. A sampled pass opens one
+/// stream, and a second when it falls back to a full run.
 using StreamFactory = std::function<std::unique_ptr<RecordStream>()>;
 
 /// Stream over a materialized trace. Borrows `trace`; the caller keeps it

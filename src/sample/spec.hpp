@@ -11,8 +11,9 @@
 //
 // Window checkpoint contract (see core/pipeline.hpp): every window is
 // re-simulated from a cold Pipeline, so a window is a pure function of
-// (machine config, program, record range). Serial and thread-pool-sliced
-// windowed runs are therefore bit-identical by construction.
+// (machine config, program, record range). A sampled run is therefore the
+// same whichever stream backend delivers its records and whichever other
+// configs share its pass.
 //
 // A spec travels as a value: simulate_workload, the windowed simulator and
 // every hcsimd job take it as an argument, so a result depends on its own

@@ -240,12 +240,12 @@ SampledResult splice(const SampleSpec& spec, u64 trace_len, Tick wide_ticks,
   return result;
 }
 
-/// The serial pass: one stream, windows in trace order, each window fed to
-/// a cold pipeline per config. Records between windows are stepped over by
-/// the stream's forward seek, never fed.
-std::vector<SampledResult> sampled_pass(std::span<const MachineConfig> cfgs,
-                                        const SampleSpec& spec,
-                                        const StreamFactory& factory, u64 trace_len) {
+}  // namespace
+
+std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
+                                            const StreamFactory& factory, u64 trace_len,
+                                            const SampleSpec& spec) {
+  HCSIM_CHECK(!cfgs.empty(), "simulate_configs: no machine config");
   const std::vector<WindowRange> plan = plan_windows(spec, trace_len);
   // Trace too short to sample (or sampling disabled): full run.
   if (plan.empty()) return full_runs(cfgs, spec, factory, trace_len);
@@ -274,7 +274,12 @@ std::vector<SampledResult> sampled_pass(std::span<const MachineConfig> cfgs,
   return out;
 }
 
-}  // namespace
+std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
+                                            const WorkloadProfile& profile, u64 n_records,
+                                            const SampleSpec& spec) {
+  if (n_records == 0) n_records = default_trace_len();
+  return simulate_configs(cfgs, workload_stream_factory(profile, n_records), n_records, spec);
+}
 
 WindowedSimulator::WindowedSimulator(const MachineConfig& cfg, const SampleSpec& spec)
     : cfg_(cfg), spec_(spec) {
@@ -283,29 +288,22 @@ WindowedSimulator::WindowedSimulator(const MachineConfig& cfg, const SampleSpec&
 
 SampledResult WindowedSimulator::run(const StreamFactory& factory, u64 trace_len,
                                      unsigned /*threads*/) const {
-  return sampled_pass(std::span<const MachineConfig>(&cfg_, 1), spec_, factory, trace_len)
+  return simulate_configs(std::span<const MachineConfig>(&cfg_, 1), factory, trace_len, spec_)
       .front();
 }
 
 SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& profile,
                                u64 n_records, const SampleSpec& spec) {
-  if (n_records == 0) n_records = default_trace_len();
-  const WindowedSimulator sim(cfg, spec);
-  return sim.run(workload_stream_factory(profile, n_records), n_records);
-}
-
-std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
-                                            const WorkloadProfile& profile, u64 n_records,
-                                            const SampleSpec& spec) {
-  HCSIM_CHECK(!cfgs.empty(), "simulate_configs: no machine config");
-  if (n_records == 0) n_records = default_trace_len();
-  return sampled_pass(cfgs, spec, workload_stream_factory(profile, n_records), n_records);
+  return simulate_configs(std::span<const MachineConfig>(&cfg, 1), profile, n_records, spec)
+      .front();
 }
 
 SampledResult simulate_sampled(const MachineConfig& cfg, const Trace& trace,
                                const SampleSpec& spec) {
-  const WindowedSimulator sim(cfg, spec);
-  return sim.run([&trace] { return open_trace_stream(trace); }, trace.records.size());
+  return simulate_configs(std::span<const MachineConfig>(&cfg, 1),
+                          [&trace] { return open_trace_stream(trace); },
+                          trace.records.size(), spec)
+      .front();
 }
 
 // --- sampled-vs-full error reporting ----------------------------------------

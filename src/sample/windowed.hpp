@@ -1,6 +1,6 @@
 // hcsim — the windowed (warm-up/measure) simulator.
 //
-// WindowedSimulator streams one deterministic trace through the sampling
+// simulate_configs streams one deterministic trace through the sampling
 // schedule of a SampleSpec: each window cold-starts a fresh Pipeline, feeds
 // the window's warm-up µops (training predictors/caches/schedulers, counters
 // discarded via a StatsCheckpoint taken at the warm-up/measure boundary),
@@ -54,13 +54,44 @@ struct SampledResult {
   std::vector<WindowStats> windows;
 };
 
+/// Every config of `cfgs` over the first `trace_len` records of the trace
+/// `factory`'s streams deliver, in one serial pass: one stream, and each
+/// window feeds a cold pipeline per config the same record spans. With a
+/// disabled spec (or no measurable window) a fresh stream feeds every
+/// pipeline the whole trace instead. A result depends only on the records
+/// delivered, so a factory that wraps another's streams (to time or count
+/// them) gives the same results as the one it wraps.
+std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
+                                            const StreamFactory& factory, u64 trace_len,
+                                            const SampleSpec& spec);
+
+/// simulate_configs over `profile`'s trace of `n_records` µops, routed as
+/// simulate_workload() routes it (cached/materialized at or below
+/// stream_threshold(), streamed above); n_records == 0 resolves to
+/// default_trace_len(). Result k is bit-identical to simulate_sampled(
+/// cfgs[k], profile, n_records, spec), and its `total` to
+/// simulate_workload(cfgs[k], profile, n_records, spec); the trace is read
+/// once, not once per config.
+std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
+                                            const WorkloadProfile& profile, u64 n_records,
+                                            const SampleSpec& spec);
+
+/// Sampled counterpart of simulate_workload(): the one-config case of the
+/// profile overload of simulate_configs.
+SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& profile,
+                               u64 n_records, const SampleSpec& spec);
+
+/// Sampled run over an already-materialized trace (loaded .hctrace files).
+SampledResult simulate_sampled(const MachineConfig& cfg, const Trace& trace,
+                               const SampleSpec& spec);
+
+/// One config and one spec, bound for repeated runs: run() is the
+/// one-config case of the factory overload of simulate_configs, which new
+/// code calls directly. `threads` is ignored; the pass is always serial.
 class WindowedSimulator {
  public:
   WindowedSimulator(const MachineConfig& cfg, const SampleSpec& spec);
 
-  /// Run the schedule over one trace: a single forward pass over one
-  /// stream (the one-config case of simulate_configs). `threads` is
-  /// ignored; the pass is always serial.
   SampledResult run(const StreamFactory& factory, u64 trace_len,
                     unsigned threads = 1) const;
 
@@ -68,27 +99,6 @@ class WindowedSimulator {
   MachineConfig cfg_;
   SampleSpec spec_;
 };
-
-/// Sampled counterpart of simulate_workload(): trace routing matches it
-/// (cached/materialized at or below stream_threshold(), streamed above).
-/// n_records == 0 resolves to default_trace_len().
-SampledResult simulate_sampled(const MachineConfig& cfg, const WorkloadProfile& profile,
-                               u64 n_records, const SampleSpec& spec);
-
-/// Every config of `cfgs` over the same workload trace in one serial pass:
-/// one stream, and each window feeds a cold pipeline per config the same
-/// record spans. With a disabled spec (or no measurable window) every
-/// pipeline is fed the whole trace instead. Result k is bit-identical to
-/// simulate_sampled(cfgs[k], profile, n_records, spec), and its `total` to
-/// simulate_workload(cfgs[k], profile, n_records, spec); the trace is read
-/// once, not once per config.
-std::vector<SampledResult> simulate_configs(std::span<const MachineConfig> cfgs,
-                                            const WorkloadProfile& profile, u64 n_records,
-                                            const SampleSpec& spec);
-
-/// Sampled run over an already-materialized trace (loaded .hctrace files).
-SampledResult simulate_sampled(const MachineConfig& cfg, const Trace& trace,
-                               const SampleSpec& spec);
 
 // --- sampled-vs-full error reporting ---------------------------------------
 

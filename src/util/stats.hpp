@@ -6,8 +6,6 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "util/log.hpp"
@@ -142,21 +140,6 @@ class Histogram {
   std::vector<u64> counts_;
   u64 total_ = 0;
   u64 sum_ = 0;
-};
-
-/// Named counter bag — the simulator exposes its raw event counts this way
-/// so benches/tests can assert on any of them without new plumbing.
-class CounterBag {
- public:
-  u64& operator[](const std::string& name) { return counters_[name]; }
-  u64 get(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-  const std::map<std::string, u64>& all() const { return counters_; }
-
- private:
-  std::map<std::string, u64> counters_;
 };
 
 /// Geometric mean helper for speedup aggregation across apps.

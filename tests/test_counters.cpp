@@ -18,7 +18,7 @@ TEST(Counters, NameTableRoundTrips) {
 TEST(Counters, UnknownNameIsRejected) {
   EXPECT_EQ(counter_from_name("no_such_counter"), Counter::kCount);
   const CounterArray a;
-  EXPECT_EQ(a.get("no_such_counter"), 0u);  // CounterBag-compatible reads
+  EXPECT_EQ(a.get("no_such_counter"), 0u);  // unknown names read as 0
 }
 
 TEST(Counters, EnumAndStringAccessAlias) {
@@ -27,17 +27,6 @@ TEST(Counters, EnumAndStringAccessAlias) {
   a["issue_wide"] += 2;
   EXPECT_EQ(a.get(Counter::kIssueWide), 5u);
   EXPECT_EQ(a.get("issue_wide"), 5u);
-}
-
-TEST(Counters, ToBagExportsEveryCounter) {
-  CounterArray a;
-  a[Counter::kCommitted] = 7;
-  a[Counter::kDl0Accesses] = 11;
-  const CounterBag bag = a.to_bag();
-  EXPECT_EQ(bag.all().size(), kNumCounters);
-  EXPECT_EQ(bag.get("committed"), 7u);
-  EXPECT_EQ(bag.get("dl0_accesses"), 11u);
-  EXPECT_EQ(bag.get("issue_fp"), 0u);
 }
 
 }  // namespace

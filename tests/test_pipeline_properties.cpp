@@ -2,6 +2,7 @@
 // every steering configuration (parameterized sweep).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
 
 #include "sim/simulator.hpp"

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -431,6 +432,68 @@ TEST(MultiConfig, DisabledSpecMatchesSimulateWorkload) {
   {
     SCOPED_TRACE("rv kernel");
     check(rv::rv_workload_profile("crc32"));
+  }
+}
+
+/// Wraps another stream the way a timing decorator does: each range is
+/// pulled from the inner stream a chunk at a time into a buffer, counted,
+/// and replayed into the sink.
+class BufferingStream final : public RecordStream {
+ public:
+  BufferingStream(std::unique_ptr<RecordStream> inner, u64& delivered)
+      : inner_(std::move(inner)), delivered_(delivered) {}
+
+  const Program& program() const override { return inner_->program(); }
+
+  void feed_range(u64 begin, u64 end, const RecordSink& sink) override {
+    constexpr u64 kChunk = 777;  // odd, so chunks straddle window edges
+    for (u64 pos = begin; pos < end;) {
+      const u64 stop = std::min(end, pos + kChunk);
+      buf_.clear();
+      inner_->feed_range(pos, stop, [this](const TraceRecord& r) { buf_.push_back(r); });
+      delivered_ += buf_.size();
+      for (const TraceRecord& r : buf_) sink(r);
+      if (pos + buf_.size() < stop) return;  // the stream ended
+      pos = stop;
+    }
+  }
+
+ private:
+  std::unique_ptr<RecordStream> inner_;
+  u64& delivered_;
+  std::vector<TraceRecord> buf_;
+};
+
+TEST(MultiConfig, DecoratedFactoryMatchesProfileOverload) {
+  // A factory whose streams wrap the workload's own gives the profile
+  // overload's results, sampled and full, on the generator stream and on
+  // the RV executor; the pass opens one stream and is fed exactly the
+  // records it simulates.
+  EnvGuard threshold("HCSIM_STREAM_THRESHOLD", "1000");
+  const std::vector<MachineConfig> cfgs = cell_configs();
+  for (const WorkloadProfile& prof :
+       {spec_profile("gcc"), rv::rv_workload_profile("crc32")}) {
+    for (const SampleSpec& spec : {test_spec(), SampleSpec{}}) {
+      SCOPED_TRACE(prof.name + (spec.enabled() ? " sampled" : " full"));
+      const StreamFactory inner = workload_stream_factory(prof, kLen);
+      u64 opened = 0, delivered = 0;
+      const StreamFactory decorated = [&] {
+        ++opened;
+        return std::make_unique<BufferingStream>(inner(), delivered);
+      };
+      const std::vector<SampledResult> pass = simulate_configs(cfgs, decorated, kLen, spec);
+      const std::vector<SampledResult> plain = simulate_configs(cfgs, prof, kLen, spec);
+      ASSERT_EQ(pass.size(), plain.size());
+      for (std::size_t k = 0; k < cfgs.size(); ++k) {
+        SCOPED_TRACE("config " + std::to_string(k));
+        EXPECT_EQ(pass[k].trace_len, plain[k].trace_len);
+        expect_identical(pass[k], plain[k]);
+      }
+      EXPECT_EQ(pass.front().sampled, spec.enabled());
+      EXPECT_EQ(opened, 1u);
+      EXPECT_EQ(delivered, pass.front().simulated_uops);
+      expect_identical(WindowedSimulator(cfgs[2], spec).run(decorated, kLen), plain[2]);
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "expect_result.hpp"
 #include "rv/kernels.hpp"
 #include "sim/simulator.hpp"
 #include "wload/program_gen.hpp"
@@ -24,15 +25,7 @@ bool records_equal(const TraceRecord& a, const TraceRecord& b) {
 
 void expect_same_result(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.uops, b.uops);
-  EXPECT_EQ(a.final_tick, b.final_tick);
-  EXPECT_EQ(a.to_helper, b.to_helper);
-  EXPECT_EQ(a.to_wide, b.to_wide);
-  EXPECT_EQ(a.copies, b.copies);
-  EXPECT_EQ(a.wp_fatal, b.wp_fatal);
-  EXPECT_EQ(a.nready_w2n, b.nready_w2n);
-  EXPECT_EQ(a.nready_n2w, b.nready_n2w);
-  EXPECT_EQ(a.counters.to_bag().all(), b.counters.to_bag().all());
+  expect_identical(a, b);
 }
 
 TEST(Streaming, CursorReproducesExecuteProgram) {

@@ -14,13 +14,15 @@
 // baseline and the 7 rungs walking one shared outcome pass, counted in
 // config-µops, so it compares with pipeline_baseline). Results go to
 // stdout as JSON; append them to BENCH_sim_throughput.json so each PR has a
-// recorded baseline to beat (see README "Performance").
+// recorded baseline to beat (see README "Performance"). These are the
+// repository's only whole-pipeline rates; bench_sim_throughput times the
+// ClusterEpoch engine and the width predictor alone.
 //
 // Usage:
 //   hcsim_bench [--uops N] [--reps N] [--label S] [--json FILE]
 //
 // Defaults: 100000 µops, 5 repetitions; the best rep wins, whatever --reps
-// says (matching bench_sim_throughput's BM_PipelineBaseline/100000).
+// says.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
