@@ -1,6 +1,10 @@
 #include "sim/trace_cache.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -10,6 +14,25 @@
 namespace hcsim {
 
 namespace {
+
+/// Hands the whole pages of a dying trace's records back to the OS before
+/// the records are freed. A trace is the largest block a sweep allocates.
+/// Once glibc has freed one, its dynamic mmap threshold rises past a
+/// trace's size, so later traces come from, and return to, the heap of
+/// whichever worker allocated them and stay resident there. The peak RSS of
+/// a 2-thread cumulative sweep at 300k µops then hung on which worker
+/// generated and freed which trace (26-36 MB from run to run on one input);
+/// with the pages returned it follows the live traces (26-30 MB). The
+/// block's first and last partial pages, which hold the allocator's
+/// bookkeeping, are left alone. A failed madvise only leaves the pages
+/// resident, as free() would.
+void release_pages(const std::vector<TraceRecord>& records) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(records.data());
+  const std::uintptr_t lo = (begin + page - 1) & ~(page - 1);
+  const std::uintptr_t hi = (begin + records.capacity() * sizeof(TraceRecord)) & ~(page - 1);
+  if (hi > lo) madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+}
 
 /// One cached trace. Its shared_ptr's deleter takes the entry out of the
 /// cache, so the cache only ever lists traces that some handle keeps alive.
@@ -83,6 +106,7 @@ class TraceCache {
           break;
         }
     }
+    release_pages(s->trace.records);
     delete s;  // frees the records outside the lock
   }
 

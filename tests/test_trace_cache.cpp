@@ -8,7 +8,10 @@
 // whole suite runs in one process.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -22,6 +25,14 @@ WorkloadProfile profile_with_seed(const char* app, u64 seed) {
   WorkloadProfile p = spec_profile(app);
   p.seed = seed;
   return p;
+}
+
+/// The process's resident set in MB; 0 where /proc/self/statm is missing.
+double resident_mb() {
+  std::ifstream statm("/proc/self/statm");
+  u64 size = 0, resident = 0;
+  statm >> size >> resident;
+  return static_cast<double>(resident * static_cast<u64>(sysconf(_SC_PAGESIZE))) / (1 << 20);
 }
 
 TEST(TraceCache, ConcurrentAcquirersShareOneGeneration) {
@@ -61,6 +72,21 @@ TEST(TraceCache, LastHandleFreesTheTrace) {
   const TraceHandle again = acquire_trace(p, 3000);
   EXPECT_EQ(trace_cache_stats().generated - generated, 2u);
   EXPECT_EQ(simulate(monolithic_baseline(), *again).final_tick, tick);
+}
+
+TEST(TraceCache, DroppedTraceLeavesNoResidentPages) {
+  // Dropping the first trace this size raises glibc's mmap threshold past
+  // it, so the second is carved from the heap, where free() alone would keep
+  // its pages resident. The cache hands them back however a trace was
+  // allocated.
+  const u64 n = 300000;
+  const double trace_mb = static_cast<double>(n * sizeof(TraceRecord)) / (1 << 20);
+  acquire_trace(profile_with_seed("twolf", 4207), n).reset();
+  TraceHandle h = acquire_trace(profile_with_seed("twolf", 4208), n);
+  const double held = resident_mb();
+  if (held == 0.0) GTEST_SKIP() << "no /proc/self/statm";
+  h.reset();
+  EXPECT_LT(resident_mb(), held - trace_mb / 2) << "trace of " << trace_mb << " MB";
 }
 
 TEST(TraceCache, DroppingAndAcquiringOneKeyRaceSafely) {
