@@ -11,7 +11,9 @@
 //     clock. Two epoch cursors —
 //     `qdrained_` (buckets below are retired) and `qnext_` (earliest
 //     occupied bucket) — make the per-µop drain a pair of compares; bucket
-//     scans happen once per epoch advance, not once per probe.
+//     scans happen once per epoch advance, not once per probe. The ring
+//     spans the departures in flight from `qdrained_` on: a departure
+//     beyond it first drains what has departed, and only then grows it.
 //   * dispatch() fuses the earliest_dispatch → reserve → add triple.
 //
 // tests/test_cluster_epoch.cpp fuzzes the queue ledger against a per-tick
@@ -78,7 +80,14 @@ class ClusterEpoch {
     // An entry departing below the drain head already "left" the queue.
     if (issue < head_tick_) [[unlikely]] return;
     const u64 c = issue_.to_cycle(issue);
-    if (c - qdrained_ > qmask_) [[unlikely]] grow_queue(c);
+    if (c - qdrained_ > qmask_) [[unlikely]] {
+      // The drain is lazy, so qdrained_ may lag head_tick_ by far more than
+      // the departures in flight (a queue that never fills never drains).
+      // Retire what has departed first, and grow only if `c` is still out
+      // of the ring's span.
+      if (head_tick_ > 0) catch_up();
+      if (c - qdrained_ > qmask_) grow_queue(c);
+    }
     const u64 pos = c & qmask_;
     if (qring_[pos]++ == 0) qocc_[pos >> 6] |= u64{1} << (pos & 63);
     ++live_;
@@ -105,11 +114,16 @@ class ClusterEpoch {
 
   u64 issue_reservations() const { return issue_.reservations(); }
 
- private:
   /// Initial queue-ledger span in cycle buckets (power of two, multiple of
-  /// 64); grows by doubling. Departures spread over at most a main-memory
-  /// round trip, so 16k cycles is generous.
+  /// 64). It spans the departures still in flight, from the drained cycle
+  /// on: queue_add drains what has departed before it grows the ring by
+  /// doubling. Departures spread over at most a main-memory round trip, so
+  /// 16k cycles is generous.
   static constexpr u64 kInitialQueueCycles = u64{1} << 14;
+  /// The queue ledger's current span in cycle buckets.
+  u64 queue_cycles() const { return qmask_ + 1; }
+
+ private:
   /// "No occupied bucket" sentinel; compares greater than any real cycle.
   static constexpr u64 kNoCycle = ~u64{0};
 

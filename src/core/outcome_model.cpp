@@ -2,6 +2,7 @@
 
 #include "bbcache/bb_cache.hpp"
 #include "util/log.hpp"
+#include "util/narrow.hpp"
 
 namespace hcsim {
 
@@ -42,46 +43,42 @@ OutcomeModel::OutcomeModel(const MachineConfig& cfg, const Program& program)
       ul1_(cfg.mem.ul1),
       bpred_(cfg.bpred),
       wpred_(cfg.wpred) {
-  kind_.reserve(program.uops.size());
+  static_.reserve(program.uops.size());
   for (const StaticUop& su : program.uops) {
     // The pipeline's own crack: these three facts do not depend on steering.
     const UopTemplate t = build_uop_template(su, SteeringConfig{}, width_bits_);
-    kind_.push_back(static_cast<u8>((t.tracked ? kTracked : 0) | (t.is_mem ? kMem : 0) |
-                                    (t.is_branch_cond ? kBranchCond : 0)));
+    static_.push_back({t.imm, static_cast<u8>((t.tracked ? kTracked : 0) | (t.is_mem ? kMem : 0) |
+                                              (t.is_branch_cond ? kBranchCond : 0))});
   }
 }
 
-void OutcomeModel::run(std::span<const TraceRecord> recs, std::span<u8> out) {
-  HCSIM_CHECK(out.size() >= recs.size(), "OutcomeModel::run: one outcome byte per record");
+void OutcomeModel::run(std::span<const TraceRecord> recs, std::span<u16> out) {
+  HCSIM_CHECK(out.size() >= recs.size(), "OutcomeModel::run: one outcome per record");
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const TraceRecord& r = recs[i];
     const u8 lanes = width_lanes(r, width_bits_);
-    const u8 kind = kind_[r.pc];
+    const StaticFacts su = static_[r.pc];
     // Predicted before this record trains, as at rename.
     const WidthPredictor::Prediction p = wpred_.predict_result(r.pc);
-    if (kind & kTracked) wpred_.train_result(r.pc, Outcome::result_narrow(lanes));
+    if (su.kind & kTracked) wpred_.train_result(r.pc, Outcome::result_narrow(lanes));
     unsigned event = 0;
-    if (kind & kMem) {
+    if (su.kind & kMem) {
       event = static_cast<unsigned>(probe_hierarchy(dl0_, ul1_, r.mem_addr));
-    } else if (kind & kBranchCond) {
+    } else if (su.kind & kBranchCond) {
       event = bpred_.predict(r.pc) != r.taken;
       bpred_.update(r.pc, r.taken);
     }
-    out[i] = static_cast<u8>(lanes | (unsigned{p.narrow} << Outcome::kPredNarrowBit) |
-                             (unsigned{p.confident} << Outcome::kConfidentBit) |
-                             (event << Outcome::kEventShift));
+    // The CR carry check's operands: every source slot and the immediate,
+    // each against the output a CR-steered µop would compute.
+    const u32 output = (su.kind & kMem) ? r.mem_addr : r.result;
+    unsigned match = unsigned{upper_bits_match(su.imm, output, width_bits_)} << Outcome::kImmSlot;
+    for (unsigned k = 0; k < kMaxSrcs; ++k)
+      match |= unsigned{upper_bits_match(r.src_vals[k], output, width_bits_)} << k;
+    out[i] = static_cast<u16>(lanes | (unsigned{p.narrow} << Outcome::kPredNarrowBit) |
+                              (unsigned{p.confident} << Outcome::kConfidentBit) |
+                              (event << Outcome::kEventShift) |
+                              (match << Outcome::kMatchShift));
   }
-}
-
-SharedOutcomes shared_outcomes(std::span<const MachineConfig> cfgs, const Trace& trace) {
-  SharedOutcomes shared;
-  shared.of = outcome_classes(cfgs);
-  for (std::size_t k = 0; k < cfgs.size(); ++k) {
-    if (shared.of[k] < shared.arrays.size()) continue;
-    shared.arrays.emplace_back(trace.records.size());
-    OutcomeModel(cfgs[k], trace.program).run(trace.records, shared.arrays.back());
-  }
-  return shared;
 }
 
 }  // namespace hcsim

@@ -6,7 +6,6 @@
 
 #include "core/outcome_model.hpp"
 #include "util/log.hpp"
-#include "util/narrow.hpp"
 
 namespace hcsim {
 
@@ -220,16 +219,14 @@ void Pipeline::account_nready(unsigned cluster, bool eligible_other, Tick ready,
 // Main loop
 // ---------------------------------------------------------------------------
 
-Pipeline::SrcWidths Pipeline::scan_src_widths(const TraceRecord& rec,
-                                              const UopTemplate& t,
-                                              Tick disp) const {
+Pipeline::SrcWidths Pipeline::scan_src_widths(const UopTemplate& t, Tick disp) const {
   SrcWidths w;
   for (u8 j = 0; j < t.n_width_srcs; ++j) {
     const RegState& st = (*regs_)[t.width_srcs[j]];
     const bool narrow = st.known_at <= disp ? st.value_narrow : st.pred_narrow;
     if (!narrow) {
       ++w.wide;
-      w.wide_val = rec.src_vals[t.width_lane[j]];
+      w.wide_slot = t.width_lane[j];
     } else {
       w.have_narrow = true;
     }
@@ -241,13 +238,13 @@ Pipeline::SrcWidths Pipeline::scan_src_widths(const TraceRecord& rec,
       w.have_narrow = true;
     } else {
       ++w.wide;
-      w.wide_val = t.imm;
+      w.wide_slot = Outcome::kImmSlot;
     }
   }
   return w;
 }
 
-void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outcome) {
+void Pipeline::feed_record(u32 pc, const UopTemplate& t, u16 outcome) {
   const Tick wt = wide_ticks();
   const SeqNum seq = next_seq_++;
 
@@ -301,7 +298,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outc
   // them: it trains the carry predictor, whose table entries alias by PC, so
   // skipping the training would perturb other µops' carry predictions.
   SrcWidths srcs;
-  if (!t.static_wide || t.wants_cr) srcs = scan_src_widths(rec, t, disp);
+  if (!t.static_wide || t.wants_cr) srcs = scan_src_widths(t, disp);
   // CR shape: exactly one wide source, at least one narrow, additive op,
   // result expected wide (Section 3.5's 8-32-32 pattern). Only consulted
   // (and only trained) when the CR scheme is configured.
@@ -319,7 +316,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outc
     ctx.result_confident = rp.confident;
     ctx.cr_shape = cr_shape;
     if (cr_shape) {
-      const WidthPredictor::Prediction cp = wpred_.predict_carry(rec.pc);
+      const WidthPredictor::Prediction cp = wpred_.predict_carry(pc);
       ctx.carry_pred_confined = cp.narrow;
       ctx.carry_confident = cp.confident;
     }
@@ -388,11 +385,8 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outc
   // Actual carry confinement for CR candidates: the operation's output
   // (result, or effective address for memory ops) must agree with the wide
   // source on everything above the helper width (Figure 10's condition).
-  bool cr_confined_actual = false;
-  if (cr_shape) {
-    const u32 cr_output = t.is_mem ? rec.mem_addr : rec.result;
-    cr_confined_actual = upper_bits_match(srcs.wide_val, cr_output, width_bits_);
-  }
+  // The outcome model tested every operand slot; read the wide one's bit.
+  const bool cr_confined_actual = cr_shape && Outcome::upper_match(outcome, srcs.wide_slot);
 
   unsigned cluster;
   Tick issue = 0;
@@ -484,7 +478,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outc
       ++res_.wp_correct;
     }
   }
-  if (cr_shape) wpred_.train_carry(rec.pc, cr_confined_actual);
+  if (cr_shape) wpred_.train_carry(pc, cr_confined_actual);
 
   // ----- branches -----------------------------------------------------------
   if (t.is_branch_cond) {
@@ -506,7 +500,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outc
     st.value_narrow = result_narrow_actual;
     st.pred_narrow = tracked ? rp.narrow : result_narrow_actual;
     st.known_at = complete;
-    st.producer_pc = rec.pc;
+    st.producer_pc = pc;
     st.producer_seq = seq;
     st.producer_cluster = cluster;
     st.prefetched = false;
@@ -563,8 +557,8 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outc
     if (cp_on_) {
       CpTrainEntry& slot = cp_window_[cp_pos_];
       if (slot.valid) wpred_.train_copy(slot.pc, slot.copied || slot.prefetch_used);
-      slot = CpTrainEntry{seq, rec.pc, false, false, true};
-      maybe_copy_prefetch(t.dst, rec.pc, cluster, complete);
+      slot = CpTrainEntry{seq, pc, false, false, true};
+      maybe_copy_prefetch(t.dst, pc, cluster, complete);
     }
   }
   if (t.writes_flags) {
@@ -576,7 +570,7 @@ void Pipeline::feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outc
     fl.value_narrow = true;  // condition codes are narrow by definition
     fl.pred_narrow = true;
     fl.known_at = complete;
-    fl.producer_pc = rec.pc;
+    fl.producer_pc = pc;
     fl.producer_seq = kSeqNone;  // flags don't participate in CP training
     fl.producer_cluster = cluster;
     fl.prefetched = false;
@@ -600,29 +594,31 @@ void Pipeline::bump_per_uop_counters(u64 n) {
   res_.uops += n;
 }
 
-void Pipeline::walk(std::span<const TraceRecord> recs, const u8* outcomes) {
-  bump_per_uop_counters(recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i)
-    feed_record(recs[i], lookup_template(recs[i].pc), outcomes[i]);
+void Pipeline::walk(std::span<const u32> pcs, const u16* outcomes) {
+  bump_per_uop_counters(pcs.size());
+  for (std::size_t i = 0; i < pcs.size(); ++i)
+    feed_record(pcs[i], lookup_template(pcs[i]), outcomes[i]);
 }
 
 void Pipeline::feed(std::span<const TraceRecord> recs) {
   HCSIM_CHECK(own_model_ || next_seq_ == 0,
               "Pipeline::feed: records after shared outcomes");
   if (!own_model_) own_model_ = std::make_unique<OutcomeModel>(cfg_, program_);
-  std::array<u8, kOutcomeBlock> outcomes;
+  std::array<u32, kOutcomeBlock> pcs;
+  std::array<u16, kOutcomeBlock> outcomes;
   while (!recs.empty()) {
-    const std::span<const TraceRecord> sub = recs.first(std::min(recs.size(), kOutcomeBlock));
-    own_model_->run(sub, outcomes);
-    walk(sub, outcomes.data());
-    recs = recs.subspan(sub.size());
+    const std::size_t n = std::min(recs.size(), kOutcomeBlock);
+    own_model_->run(recs.first(n), outcomes);
+    for (std::size_t i = 0; i < n; ++i) pcs[i] = recs[i].pc;
+    walk(std::span<const u32>(pcs).first(n), outcomes.data());
+    recs = recs.subspan(n);
   }
 }
 
-void Pipeline::feed(std::span<const TraceRecord> recs, std::span<const u8> outcomes) {
-  HCSIM_CHECK(outcomes.size() == recs.size(), "Pipeline::feed: one outcome per record");
+void Pipeline::feed(std::span<const u32> pcs, std::span<const u16> outcomes) {
+  HCSIM_CHECK(outcomes.size() == pcs.size(), "Pipeline::feed: one outcome per record");
   HCSIM_CHECK(!own_model_, "Pipeline::feed: shared outcomes after private ones");
-  walk(recs, outcomes.data());
+  walk(pcs, outcomes.data());
 }
 
 Pipeline::StatsCheckpoint Pipeline::checkpoint_stats() const {

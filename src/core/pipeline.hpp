@@ -11,9 +11,13 @@
 //
 // The pipeline keeps only timing. Which cache level serves each access,
 // whether each conditional branch is mispredicted, each result's width
-// prediction and each record's width lanes depend only on program order, so
-// an OutcomeModel (core/outcome_model.hpp) works them out once per record,
-// and every config with the same outcome key walks the same outcome bytes.
+// prediction, each record's width lanes and which of its operands agree
+// with its output above the helper width depend only on program order and
+// values, so an OutcomeModel (core/outcome_model.hpp) works them out once
+// per record, and every config with the same outcome key walks the same
+// outcomes. The timing walk reads no record: only each µop's pc and its
+// 16-bit outcome, so a cell can keep 6 bytes per record instead of its
+// 32-byte trace.
 //
 // Global time advances in ticks: one tick = one helper-cluster cycle; the
 // frontend, wide backend, caches and commit operate every
@@ -62,14 +66,16 @@ class Pipeline {
   /// Process a batch of dynamic µops in program order. Splitting a stream
   /// into batches differently gives bit-identical results. Each block of
   /// kOutcomeBlock records first runs through the pipeline's private
-  /// OutcomeModel (built on the first call), then through the timing walk.
+  /// OutcomeModel (built on the first call), then, as its pcs and
+  /// outcomes, through the timing walk.
   void feed(std::span<const TraceRecord> recs);
 
-  /// The same walk over outcome bytes an OutcomeModel built with this
-  /// config's outcome key wrote for `recs` (one per record), from the
-  /// stream's first record on. Gives the same result as feed(recs). A
-  /// pipeline takes one of the two forms for its whole run.
-  void feed(std::span<const TraceRecord> recs, std::span<const u8> outcomes);
+  /// The same walk over records given as their pcs and the outcomes an
+  /// OutcomeModel built with this config's outcome key wrote for them (one
+  /// per record), from the stream's first record on. Gives the same result
+  /// as feed(recs). A pipeline takes one of the two forms for its whole
+  /// run.
+  void feed(std::span<const u32> pcs, std::span<const u16> outcomes);
 
   /// Flush training windows, derive the summary statistics and return the
   /// result. Call exactly once, after the last feed().
@@ -135,14 +141,15 @@ class Pipeline {
     return cluster == kHelperIdx ? 1 : wide_ticks();
   }
 
-  /// The decode-once/replay-many core: one dynamic µop against its cracked
-  /// template and its outcome byte (core/outcome_model.hpp): the width
+  /// The decode-once/replay-many core: the dynamic µop at `pc` against its
+  /// cracked template and its outcome (core/outcome_model.hpp): the width
   /// lanes, folded against the template masks, the result-width
-  /// prediction, and the cache level or branch verdict.
-  void feed_record(const TraceRecord& rec, const UopTemplate& t, u8 outcome);
+  /// prediction, the cache level or branch verdict, and the operands'
+  /// upper-bit matches for the CR check.
+  void feed_record(u32 pc, const UopTemplate& t, u16 outcome);
 
-  /// The timing walk over records and their outcome bytes.
-  void walk(std::span<const TraceRecord> recs, const u8* outcomes);
+  /// The timing walk over pcs and their outcomes.
+  void walk(std::span<const u32> pcs, const u16* outcomes);
 
   /// Template for `pc`: decode-cache replay when enabled (counting hits and
   /// misses), a fresh crack into scratch_tmpl_ when disabled.
@@ -189,11 +196,11 @@ class Pipeline {
   struct SrcWidths {
     bool all_narrow = true;
     bool have_narrow = false;
-    unsigned wide = 0;  // number of wide sources
-    u32 wide_val = 0;   // value of the last wide source
+    unsigned wide = 0;       // number of wide sources
+    unsigned wide_slot = 0;  // operand slot of the last wide source
+                             // (Outcome::kImmSlot: the immediate)
   };
-  SrcWidths scan_src_widths(const TraceRecord& rec, const UopTemplate& t,
-                            Tick disp) const;
+  SrcWidths scan_src_widths(const UopTemplate& t, Tick disp) const;
 
   /// Memory access path shared by loads and stores, served by `level`.
   Tick memory_access(MemLevel level, bool is_store, Tick agu_done);
@@ -217,7 +224,7 @@ class Pipeline {
   MemoryPorts mem_ports_;
   Ratio dl0_hits_;  // hits / accesses, counted from the outcome levels
   Ratio ul1_hits_;
-  // feed(recs)'s private model; feed(recs, outcomes) never builds one.
+  // feed(recs)'s private model; feed(pcs, outcomes) never builds one.
   std::unique_ptr<OutcomeModel> own_model_;
 
   // Decode-and-steer cache (src/bbcache): private by default, injectable.

@@ -7,7 +7,7 @@
 #include <span>
 #include <tuple>
 
-#include "core/outcome_model.hpp"
+#include "sample/outcome_pass.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
@@ -114,6 +114,15 @@ void run_batch(const std::vector<std::function<void()>>& jobs, unsigned threads,
 
 // --- the executor -----------------------------------------------------------
 
+namespace {
+
+std::atomic<std::size_t> cells_live{0};
+std::atomic<u64> cells_built{0};
+
+}  // namespace
+
+CellStats cell_stats() { return {cells_live.load(), cells_built.load()}; }
+
 CellGrid sweep_cells(const SweepSpec& spec, const std::vector<ExperimentPoint>& points,
                      const sample::SampleSpec& sampling) {
   std::map<std::tuple<u32, u32, u32>, std::size_t> cell_of;
@@ -158,15 +167,16 @@ void simulate_cells(
   for (const SweepCell& cell : cells) shared += shares_pass(cell);
   const std::size_t shared_jobs = shared ? (2 * workers + shared - 1) / shared : 1;
 
-  // A cached cell's trace: generated by its first job to start, dropped by
-  // its last to end. Streamed cells take no hold. An unsampled cached cell
-  // also holds one outcome array per distinct outcome key of its configs,
-  // worked out with the trace and dropped with it, so each config's job is
-  // only the timing walk.
+  // A cached cell's hold: taken by its first job to start, dropped by its
+  // last to end. Streamed cells take no hold. A sampled cached cell holds
+  // its trace. An unsampled one holds only what its configs' timing walks
+  // read, streamed once from the generator through one outcome model per
+  // distinct outcome key: each record's pc and, per key, its outcome. So
+  // each config's job is only the timing walk, and no record is kept.
   struct Hold {
     std::once_flag acquired;
     TraceHandle trace;
-    SharedOutcomes outcomes;
+    std::optional<sample::OutcomeTrace> walk;
     std::atomic<std::size_t> jobs_left{0};
   };
   std::vector<Hold> holds(cells.size());
@@ -196,14 +206,19 @@ void simulate_cells(
       if (!stop.load()) {
         if (cached)
           std::call_once(hold.acquired, [&] {
-            hold.trace = acquire_trace(cell.profile, cell.n_records);
-            if (!cell.spec.enabled())
-              hold.outcomes = shared_outcomes(cell.configs, *hold.trace);
+            if (cell.spec.enabled()) {
+              hold.trace = acquire_trace(cell.profile, cell.n_records);
+              return;
+            }
+            hold.walk.emplace(sample::outcome_trace(
+                cell.configs, *sample::open_generating_stream(cell.profile, cell.n_records),
+                cell.n_records));
+            cells_built.fetch_add(1);
+            cells_live.fetch_add(1);
           });
         if (cached && !cell.spec.enabled()) {
-          const Trace& trace = *hold.trace;
-          Pipeline p(cell.configs[job.lo], trace.program);
-          p.feed(trace.records, hold.outcomes[job.lo]);
+          Pipeline p(cell.configs[job.lo], hold.walk->program);
+          p.feed(hold.walk->pcs, (*hold.walk)[job.lo]);
           on_result(job.c, job.lo, p.finish());
         } else if (job.hi - job.lo == 1) {
           on_result(job.c, job.lo, simulate_workload(cell.configs[job.lo], cell.profile,
@@ -219,7 +234,8 @@ void simulate_cells(
       }
       if (cached && hold.jobs_left.fetch_sub(1) == 1) {
         hold.trace.reset();
-        hold.outcomes = {};
+        if (hold.walk) cells_live.fetch_sub(1);
+        hold.walk.reset();
       }
     });
   std::function<void(std::size_t)> done;

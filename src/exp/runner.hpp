@@ -8,7 +8,9 @@
 //
 // simulate_cells is the one executor: run_sweep, svc::run_sweep_ft's local
 // fallback and the hcsimd service all hand it SweepCells, so all three share
-// a cell's trace and, when sampled and streamed, its record-stream passes.
+// a cell's generation: an unsampled cached cell's pcs and outcomes, a
+// sampled cached cell's trace, or a sampled streamed cell's record-stream
+// passes.
 #pragma once
 
 #include <condition_variable>
@@ -148,20 +150,30 @@ inline constexpr std::size_t kMaxPassConfigs = 8;
 /// stream_threshold()) runs ranges of its configs from one pass
 /// (sample::simulate_configs), two jobs per thread over all such cells but
 /// at most kMaxPassConfigs configs per pass; any other cell runs one job
-/// per config. A cached cell's trace is held from its first job's start to
-/// its last job's end, so at most threads + 1 are alive. An unsampled
-/// cached cell's first job also writes one outcome array per distinct
-/// outcome key of its configs (shared_outcomes, one byte per record),
-/// dropped with the trace, and each job walks its config over the trace
-/// and its shared array. on_result(c, k, result) runs on the worker that
-/// finished config k of cell c, while the trace is held; on_done(c, k), if
-/// set, then runs on the calling thread in completion order, and once it
-/// returns false, simulations not yet started are skipped and get neither
-/// callback.
+/// per config. A cached cell (at or below stream_threshold()) is held from
+/// its first job's start to its last job's end, so at most threads + 1 are
+/// alive. A sampled cached cell holds its trace. An unsampled one holds
+/// no record: its first job streams the records from the generator
+/// (sample::open_generating_stream) through one outcome model per distinct
+/// outcome key of its configs and keeps the program, each record's pc and
+/// one 16-bit outcome per record per key (sample::outcome_trace), 4 + 2 ×
+/// keys bytes per record, and each job walks its config over those.
+/// on_result(c, k, result) runs on the worker that finished config k of
+/// cell c, while the cell is held; on_done(c, k), if set, then runs on the
+/// calling thread in completion order, and once it returns false,
+/// simulations not yet started are skipped and get neither callback.
 void simulate_cells(
     const std::vector<SweepCell>& cells, unsigned threads, ThreadPool* pool,
     const std::function<void(std::size_t c, std::size_t k, SimResult&& result)>& on_result,
     const std::function<bool(std::size_t c, std::size_t k)>& on_done = {});
+
+/// Unsampled cached cells held by simulate_cells, for tests: the
+/// counterpart of trace_cache_stats() for the cells that hold no trace.
+struct CellStats {
+  std::size_t live = 0;  // cells whose pcs and outcomes are held now
+  u64 built = 0;         // cells built since the process started
+};
+CellStats cell_stats();
 
 /// `point`'s result from its cell's baseline run and its own, with both
 /// power reports: the one place a sweep analyses power.

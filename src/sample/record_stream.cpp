@@ -123,6 +123,13 @@ std::unique_ptr<RecordStream> open_trace_stream(const Trace& trace) {
   return std::make_unique<TraceRecordStream>(trace);
 }
 
+std::unique_ptr<RecordStream> open_generating_stream(const WorkloadProfile& profile,
+                                                     u64 n_records) {
+  if (!profile.rv_kernel.empty())
+    return std::make_unique<KernelRecordStream>(profile.rv_kernel, n_records);
+  return std::make_unique<CursorRecordStream>(profile, n_records);
+}
+
 StreamFactory workload_stream_factory(const WorkloadProfile& profile, u64 n_records) {
   if (n_records <= stream_threshold()) {
     // CI-sized runs share the cached materialized trace, which the factory
@@ -132,16 +139,7 @@ StreamFactory workload_stream_factory(const WorkloadProfile& profile, u64 n_reco
       return std::make_unique<TraceRecordStream>(*trace, trace);
     };
   }
-  if (!profile.rv_kernel.empty()) {
-    const std::string kernel = profile.rv_kernel;
-    return [kernel, n_records]() -> std::unique_ptr<RecordStream> {
-      return std::make_unique<KernelRecordStream>(kernel, n_records);
-    };
-  }
-  const WorkloadProfile prof = profile;
-  return [prof, n_records]() -> std::unique_ptr<RecordStream> {
-    return std::make_unique<CursorRecordStream>(prof, n_records);
-  };
+  return [profile, n_records] { return open_generating_stream(profile, n_records); };
 }
 
 }  // namespace hcsim::sample

@@ -58,13 +58,20 @@ using StreamFactory = std::function<std::unique_ptr<RecordStream>()>;
 /// alive for the stream's lifetime.
 std::unique_ptr<RecordStream> open_trace_stream(const Trace& trace);
 
+/// A stream that generates `profile`'s trace of `n_records` µops as it is
+/// read, whatever the length: the synthetic generator cursor, or the RV
+/// kernel executor. It holds O(chunk) records and takes nothing from the
+/// trace cache, and it delivers the records of acquire_trace(profile,
+/// n_records): an RV kernel still running at n_records ends at the last
+/// instruction boundary at or below it, as rv::kernel_trace does.
+std::unique_ptr<RecordStream> open_generating_stream(const WorkloadProfile& profile,
+                                                     u64 n_records);
+
 /// Factory for `profile`'s deterministic trace of `n_records` µops, routed
 /// the same way simulate_workload routes full runs: a materialized cached
 /// trace at or below stream_threshold() (held by the factory and by every
-/// stream it opens), the synthetic generator cursor or
-/// the RV kernel executor above it (O(chunk) memory). Every route delivers
-/// the same records: an RV kernel still running at n_records ends at the
-/// last instruction boundary at or below it, as rv::kernel_trace does.
+/// stream it opens), a generating stream above it (O(chunk) memory). Every
+/// route delivers the same records.
 StreamFactory workload_stream_factory(const WorkloadProfile& profile, u64 n_records);
 
 }  // namespace hcsim::sample

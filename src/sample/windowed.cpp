@@ -5,7 +5,7 @@
 #include <memory>
 #include <span>
 
-#include "core/outcome_model.hpp"
+#include "sample/outcome_pass.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -107,60 +107,33 @@ void finalize(SimResult& r, Tick wide_ticks, u64 dl0_hits, u64 dl0_accesses,
   r.counters[Counter::kUl1Accesses] = ul1_accesses;
 }
 
-/// Records per span: the stream's sink fills a buffer of this many records,
-/// and each span goes through the group's outcome models once and then
-/// through every pipeline.
-constexpr std::size_t kSpanRecords = 4096;
-
 /// Cold pipelines, one per config, bound to one program and fed the same
-/// record spans, and one cold OutcomeModel per distinct outcome key among
-/// them, whose outcome bytes every pipeline with that key walks.
+/// record spans, through an OutcomePass whose models' outcomes every
+/// pipeline with that key walks.
 class PipelineGroup {
  public:
   PipelineGroup(std::span<const MachineConfig> cfgs, const Program& program)
-      : outcomes_of_(outcome_classes(cfgs)) {
+      : pass_(cfgs, program) {
     pipes_.reserve(cfgs.size());
-    for (std::size_t k = 0; k < cfgs.size(); ++k) {
-      pipes_.push_back(std::make_unique<Pipeline>(cfgs[k], program));
-      if (outcomes_of_[k] == models_.size()) {
-        models_.emplace_back(cfgs[k], program);
-        outcomes_.emplace_back(kSpanRecords);
-      }
-    }
-    buf_.reserve(kSpanRecords);
+    for (const MachineConfig& cfg : cfgs) pipes_.push_back(std::make_unique<Pipeline>(cfg, program));
   }
 
   /// Feed records [begin, end) of `stream` to every pipeline (fewer when
   /// the trace ends first).
   void pull(RecordStream& stream, u64 begin, u64 end) {
-    stream.feed_range(begin, end, [this](const TraceRecord& rec) {
-      buf_.push_back(rec);
-      if (buf_.size() == kSpanRecords) flush();
+    pass_.pull(stream, begin, end, [this] {
+      for (std::size_t k = 0; k < pipes_.size(); ++k)
+        pipes_[k]->feed(pass_.pcs(), pass_.outcomes(pass_.key_of(k)));
     });
-    flush();
   }
 
   /// Records fed so far.
-  u64 fed() const { return fed_; }
+  u64 fed() const { return pass_.fed(); }
   Pipeline& operator[](std::size_t k) { return *pipes_[k]; }
 
  private:
-  void flush() {
-    if (buf_.empty()) return;
-    const std::span<const TraceRecord> recs(buf_);
-    for (std::size_t m = 0; m < models_.size(); ++m) models_[m].run(recs, outcomes_[m]);
-    for (std::size_t k = 0; k < pipes_.size(); ++k)
-      pipes_[k]->feed(recs, std::span<const u8>(outcomes_[outcomes_of_[k]]).first(recs.size()));
-    fed_ += buf_.size();
-    buf_.clear();
-  }
-
+  OutcomePass pass_;
   std::vector<std::unique_ptr<Pipeline>> pipes_;  // Pipeline is not movable
-  std::vector<std::size_t> outcomes_of_;          // per pipeline, its model
-  std::vector<OutcomeModel> models_;
-  std::vector<std::vector<u8>> outcomes_;  // per model, the current span's bytes
-  std::vector<TraceRecord> buf_;
-  u64 fed_ = 0;
 };
 
 /// Simulate window `w` of `stream` on a cold pipeline per config, with a

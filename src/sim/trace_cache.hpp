@@ -5,10 +5,11 @@
 // copy. The cache gives each key one reference-counted trace: generated once
 // while any handle to it exists, and freed when the last handle drops. Its
 // memory therefore follows the jobs that read it — a sweep or a daemon batch
-// holds each key from its first job to its last (exp::simulate_cells) —
-// instead of growing with every key a process has ever seen. cached_trace()
-// is the one exception: a pinned handle for callers that want a reference
-// for the whole process (figure benches, examples, tests).
+// holds a sampled cached cell's key from its first job to its last
+// (exp::simulate_cells; an unsampled cell keeps pcs and outcomes instead of
+// a trace) — instead of growing with every key a process has ever seen.
+// cached_trace() is the one exception: a pinned handle for callers that
+// want a reference for the whole process (figure benches, examples, tests).
 #pragma once
 
 #include <memory>

@@ -65,7 +65,7 @@ struct Trace {
 /// classify() runs a branchless pass over a block of records filling one
 /// bitmask lane per record (width_lanes), which steering and training fold
 /// against the static µop template's operand masks. The pipeline reads the
-/// same lanes from its outcome bytes (core/outcome_model.hpp). One block
+/// same lanes from its outcomes (core/outcome_model.hpp). One block
 /// covers kRecords records; TraceCursor chunks are a whole multiple of it.
 struct WidthLaneBlock {
   /// Records per block. Small enough to stay cache-resident between the

@@ -239,5 +239,19 @@ TEST(ClusterEpoch, OccupancyDrainsAtIssueTicks) {
   EXPECT_EQ(e.occupancy(12), 0u);
 }
 
+TEST(ClusterEpoch, QueueThatNeverFillsKeepsItsInitialRing) {
+  // One µop every 1000 cycles, each departing 3 cycles after dispatch: the
+  // queue of 32 never fills, not even on the stale count, so the lazy
+  // drain never runs, and the stream spans 24k cycles, more than the
+  // ring's initial 16k. The ring must still span only the departures in
+  // flight rather than everything since the first dispatch.
+  ClusterEpoch e;
+  e.init(/*width=*/2, /*qsize=*/32, /*copy_ports=*/0, /*cycle_ticks=*/1);
+  for (Tick t = 0; t < 24000; t += 1000) EXPECT_EQ(e.dispatch(t, t + 3).issue, t + 3);
+  EXPECT_EQ(e.queue_cycles(), ClusterEpoch::kInitialQueueCycles);
+  EXPECT_EQ(e.occupancy(23000), 1u);
+  EXPECT_EQ(e.occupancy(23003), 0u);
+}
+
 }  // namespace
 }  // namespace hcsim

@@ -242,12 +242,13 @@ TEST(Runner, BaselineSharedAcrossVariantsOfOneApp) {
 }
 
 TEST(Runner, SweepHoldsAtMostThreadsPlusOneTraces) {
-  // The cumulative ladder: 12 cells of 8 configs. Each cell's trace is held
+  // The cumulative ladder: 12 unsampled cached cells of 8 configs. Each
+  // cell's pcs and outcomes are streamed from the generator once and held
   // from its first job to its last, and jobs start in order with at most
   // one per thread running, so only the cells of running jobs and the cell
-  // whose jobs have started but not all of them hold a trace; every cell
-  // generates its trace once, and none is left after the sweep, so the same
-  // sweep again generates every trace again.
+  // whose jobs have started but not all of them are held; none is left
+  // after the sweep, so the same sweep again builds every cell again. No
+  // cell takes a trace from the trace cache.
   SweepSpec spec = *find_sweep("cumulative");
   spec.trace_lens = {3001};  // a length no other test pins
   constexpr unsigned kThreads = 4;
@@ -255,23 +256,29 @@ TEST(Runner, SweepHoldsAtMostThreadsPlusOneTraces) {
   opts.threads = kThreads;
   std::size_t most_live = 0;
   opts.on_point = [&](const PointResult&, u64, u64) {
-    most_live = std::max(most_live, trace_cache_stats().live);
+    most_live = std::max(most_live, cell_stats().live);
   };
   for (int run = 0; run < 2; ++run) {
+    const u64 built = cell_stats().built;
     const u64 generated = trace_cache_stats().generated;
     const SweepResult r = run_sweep(spec, opts);
     EXPECT_EQ(r.points.size(), 12u * 7u);
+    EXPECT_GE(most_live, 1u) << run;
     EXPECT_LE(most_live, kThreads + 1) << run;
+    EXPECT_EQ(cell_stats().live, 0u) << run;
+    EXPECT_EQ(cell_stats().built - built, 12u) << run;
+    EXPECT_EQ(trace_cache_stats().generated, generated) << run;
     EXPECT_EQ(trace_cache_stats().live, 0u) << run;
-    EXPECT_EQ(trace_cache_stats().generated - generated, 12u) << run;
   }
 }
 
 TEST(Runner, SimulateCellsHoldsEachCellsTraceFromItsFirstJobToItsLast) {
-  // One thread runs the jobs one after another: a cached cell, a sampled
-  // cell above the (lowered) stream threshold, and a second cached cell.
-  // While a cached cell's results arrive, its trace and no other is live;
-  // the streamed cell reads the generator and holds nothing.
+  // One thread runs the jobs one after another: an unsampled cached cell,
+  // a sampled cell above the (lowered) stream threshold, and a sampled
+  // cached cell. While the first cell's results arrive, its pcs and
+  // outcomes and no trace are held; the streamed cell reads the generator
+  // and holds nothing; while the last cell's results arrive, its trace and
+  // no other is live.
   const ScopedEnv threshold("HCSIM_STREAM_THRESHOLD", "5000");
   sample::SampleSpec sampled;
   sampled.warmup = 500;
@@ -284,26 +291,30 @@ TEST(Runner, SimulateCellsHoldsEachCellsTraceFromItsFirstJobToItsLast) {
   b.seed = 4206;
   const std::vector<SweepCell> cells = {
       {a, 2500, {}, configs}, {a, 6000, sampled, configs}, {b, 2500, sampled, configs}};
+  // Worked out first: simulate_workload takes a trace of its own.
+  std::vector<std::vector<SimResult>> want(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c)
+    for (const MachineConfig& cfg : cells[c].configs)
+      want[c].push_back(simulate_workload(cfg, cells[c].profile, cells[c].n_records,
+                                          cells[c].spec));
   const u64 generated = trace_cache_stats().generated;
+  const u64 built = cell_stats().built;
   std::vector<std::size_t> results(cells.size(), 0);
   simulate_cells(cells, 1, nullptr, [&](std::size_t c, std::size_t k, SimResult&& r) {
-    const SimResult want = simulate_workload(cells[c].configs[k], cells[c].profile,
-                                             cells[c].n_records, cells[c].spec);
-    EXPECT_EQ(r.final_tick, want.final_tick) << c << "/" << k;
-    EXPECT_EQ(r.uops, want.uops) << c << "/" << k;
+    EXPECT_EQ(result_difference(r, want[c][k]), "") << c << "/" << k;
     ++results[c];
-    if (c == 1) {
-      EXPECT_EQ(trace_cache_stats().live, 0u) << k;
-      return;
-    }
-    EXPECT_EQ(trace_cache_stats().live, 1u) << c << "/" << k;
+    EXPECT_EQ(cell_stats().live, c == 0 ? 1u : 0u) << c << "/" << k;
+    EXPECT_EQ(trace_cache_stats().live, c == 2 ? 1u : 0u) << c << "/" << k;
+    if (c != 2) return;
     // The live trace is this cell's: acquiring it generates nothing.
     const u64 before = trace_cache_stats().generated;
     acquire_trace(cells[c].profile, cells[c].n_records);
     EXPECT_EQ(trace_cache_stats().generated, before) << c << "/" << k;
   });
   EXPECT_EQ(results, std::vector<std::size_t>(cells.size(), configs.size()));
-  EXPECT_EQ(trace_cache_stats().generated - generated, 2u);
+  EXPECT_EQ(cell_stats().built - built, 1u);
+  EXPECT_EQ(trace_cache_stats().generated - generated, 1u);
+  EXPECT_EQ(cell_stats().live, 0u);
   EXPECT_EQ(trace_cache_stats().live, 0u);
 }
 
@@ -399,10 +410,10 @@ TEST(Runner, CellPassMatchesPerPointRuns) {
 }
 
 TEST(Runner, CachedCellSharesOutcomesAcrossItsConfigs) {
-  // An unsampled cached cell works out one outcome array per distinct
-  // outcome key with its trace; helper_design's helper widths 4, 8 and 16
-  // give its configs three keys. On 4 threads every config must still get
-  // the result of a private run.
+  // An unsampled cached cell streams one outcome array per distinct outcome
+  // key beside its pcs; helper_design's helper widths 4, 8 and 16 give its
+  // configs three keys. On 4 threads every config must still get the
+  // result of a private run.
   const SweepSpec design = *find_sweep("helper_design");
   SweepCell cell{spec_profile("gcc"), 20000, sample::SampleSpec{}, {design.baseline}};
   for (const ConfigVariant& v : design.variants) cell.configs.push_back(v.machine);

@@ -356,10 +356,11 @@ TEST_F(FaultRecoveryTest, NoFallbackFailsWithTransportStatusWhenDaemonIsDead) {
 }
 
 TEST_F(FaultRecoveryTest, LocalFallbackGeneratesEachCellOnce) {
-  // No daemon: every job runs in-process, and each cell's trace is held
-  // from its first job to its last, so it is generated once per cell, not
-  // once per job, and freed when the sweep is done. One thread runs the
-  // jobs one after another, so no job of a cell overlaps the next.
+  // No daemon: every job runs in-process, and each unsampled cell's pcs
+  // and outcomes are held from its first job to its last, so they are
+  // streamed from the generator once per cell, not once per job, and freed
+  // when the sweep is done; no trace enters the trace cache. One thread
+  // runs the jobs one after another, so no job of a cell overlaps the next.
   exp::SweepSpec spec = small_spec();
   spec.trace_lens = {2001};  // a length no other test pins
   std::set<std::string> cells;
@@ -370,10 +371,13 @@ TEST_F(FaultRecoveryTest, LocalFallbackGeneratesEachCellOnce) {
   FtSweepStats stats;
   std::string error;
   const u64 generated = trace_cache_stats().generated;
+  const u64 built = exp::cell_stats().built;
   ASSERT_EQ(run_sweep_ft(spec, opts, result, stats, error), FtStatus::kOk) << error;
   EXPECT_EQ(stats.local_jobs, stats.jobs);
   EXPECT_GT(stats.jobs, cells.size());
-  EXPECT_EQ(trace_cache_stats().generated - generated, cells.size());
+  EXPECT_EQ(exp::cell_stats().built - built, cells.size());
+  EXPECT_EQ(exp::cell_stats().live, 0u);
+  EXPECT_EQ(trace_cache_stats().generated, generated);
   EXPECT_EQ(trace_cache_stats().live, 0u);
 }
 

@@ -1,6 +1,7 @@
 // The shared outcome model (core/outcome_model.hpp): a pipeline that walks
-// outcome bytes from a model shared per outcome key gives the result of its
-// private feed, and the key names every config field that moves an outcome.
+// pcs and outcomes from a model shared per outcome key gives the result of
+// its private feed, the outcome's match bits are the CR carry check, and the
+// key names every config field that moves an outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,10 @@
 #include "expect_result.hpp"
 #include "isa/opcode.hpp"
 #include "rv/kernels.hpp"
+#include "sample/outcome_pass.hpp"
+#include "sim/simulator.hpp"
 #include "sim/trace_cache.hpp"
+#include "util/narrow.hpp"
 #include "wload/profile.hpp"
 
 namespace hcsim {
@@ -54,13 +58,13 @@ void in_spans(std::size_t size, const std::function<void(std::size_t, std::size_
   }
 }
 
-/// `cfg`'s outcome bytes over `trace`, written in spans.
-std::vector<u8> outcomes_of(const MachineConfig& cfg, const Trace& trace) {
-  std::vector<u8> out(trace.records.size());
+/// `cfg`'s outcomes over `trace`, written in spans.
+std::vector<u16> outcomes_of(const MachineConfig& cfg, const Trace& trace) {
+  std::vector<u16> out(trace.records.size());
   OutcomeModel model(cfg, trace.program);
   in_spans(out.size(), [&](std::size_t at, std::size_t n) {
     model.run(std::span<const TraceRecord>(trace.records).subspan(at, n),
-              std::span<u8>(out).subspan(at, n));
+              std::span<u16>(out).subspan(at, n));
   });
   return out;
 }
@@ -73,12 +77,12 @@ SimResult private_run(const MachineConfig& cfg, const Trace& trace) {
   return p.finish();
 }
 
-SimResult shared_run(const MachineConfig& cfg, const Trace& trace,
-                     const std::vector<u8>& outcomes) {
-  Pipeline p(cfg, trace.program);
-  in_spans(trace.records.size(), [&](std::size_t at, std::size_t n) {
-    p.feed(std::span<const TraceRecord>(trace.records).subspan(at, n),
-           std::span<const u8>(outcomes).subspan(at, n));
+/// `cfg`'s timing walk over `pcs` and `outcomes`, fed in spans.
+SimResult walk_run(const MachineConfig& cfg, const Program& program, std::span<const u32> pcs,
+                   std::span<const u16> outcomes) {
+  Pipeline p(cfg, program);
+  in_spans(pcs.size(), [&](std::size_t at, std::size_t n) {
+    p.feed(pcs.subspan(at, n), outcomes.subspan(at, n));
   });
   return p.finish();
 }
@@ -88,6 +92,9 @@ u64 hits(double rate, u64 accesses) {
 }
 
 TEST(Outcomes, SharedMatchesPrivate) {
+  // One cell of every config below per workload, its outcomes streamed from
+  // the generator or the RV executor as an unsampled cached sweep cell
+  // streams them: eight keys, helper_design's three among them.
   const std::vector<MachineConfig> cfgs = sweep_configs();
   const std::vector<std::size_t> classes = outcome_classes(cfgs);
   EXPECT_EQ(*std::max_element(classes.begin(), classes.end()), 7u);
@@ -105,11 +112,14 @@ TEST(Outcomes, SharedMatchesPrivate) {
       if (is_memory(trace->program.uops[r.pc].opcode)) probe_hierarchy(dl0, ul1, r.mem_addr);
     const u64 dl0_misses = dl0.accesses() - dl0.hit_ratio().num;
 
-    std::vector<std::vector<u8>> shared;  // one per outcome key
+    const sample::OutcomeTrace cell =
+        sample::outcome_trace(cfgs, *sample::open_generating_stream(prof, kLen), kLen);
+    ASSERT_EQ(cell.outcomes.size(), 8u) << prof.name;
+    ASSERT_EQ(cell.pcs.size(), trace->records.size()) << prof.name;
     for (std::size_t k = 0; k < cfgs.size(); ++k) {
-      if (classes[k] == shared.size()) shared.push_back(outcomes_of(cfgs[k], *trace));
-      const SimResult own = private_run(cfgs[k], *trace);
-      EXPECT_EQ(result_difference(own, shared_run(cfgs[k], *trace, shared[classes[k]])), "")
+      EXPECT_EQ(cell.key_of[k], classes[k]);
+      const SimResult own = simulate(cfgs[k], *trace);
+      EXPECT_EQ(result_difference(own, walk_run(cfgs[k], cell.program, cell.pcs, cell[k])), "")
           << prof.name << " config " << k << " (" << cfgs[k].steer.describe() << ")";
 
       const u64 dl0_accesses = own.counters.get(Counter::kDl0Accesses);
@@ -119,6 +129,33 @@ TEST(Outcomes, SharedMatchesPrivate) {
       EXPECT_EQ(ul1_accesses, ul1.accesses()) << prof.name << " config " << k;
       EXPECT_EQ(hits(own.ul1_hit_rate, ul1_accesses), ul1.hit_ratio().num)
           << prof.name << " config " << k;
+    }
+  }
+}
+
+TEST(Outcomes, MatchBitsAreTheCarryCheck) {
+  // Bits 8-11 of every record's outcome: operand slot k's value, and the
+  // immediate, agree with the µop's output (its address for a memory µop)
+  // above the helper width, as the CR carry check tests it.
+  for (const WorkloadProfile& prof :
+       {spec_profile("gcc"), spec_profile("mcf"), rv::rv_workload_profile("crc32")}) {
+    const TraceHandle trace = acquire_trace(prof, kLen);
+    for (const unsigned width : {8u, 16u}) {
+      MachineConfig cfg = helper_machine(steering_ir());
+      cfg.helper_width_bits = width;
+      const std::vector<u16> outcomes = outcomes_of(cfg, *trace);
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < trace->records.size(); ++i) {
+        const TraceRecord& r = trace->records[i];
+        const StaticUop& su = trace->program.uops[r.pc];
+        const u32 output = is_memory(su.opcode) ? r.mem_addr : r.result;
+        for (unsigned k = 0; k < kMaxSrcs; ++k)
+          mismatches += Outcome::upper_match(outcomes[i], k) !=
+                        upper_bits_match(r.src_vals[k], output, width);
+        mismatches += Outcome::upper_match(outcomes[i], Outcome::kImmSlot) !=
+                      upper_bits_match(su.imm, output, width);
+      }
+      EXPECT_EQ(mismatches, 0u) << prof.name << " at width " << width;
     }
   }
 }
@@ -180,14 +217,17 @@ TEST(Outcomes, KeyCoversEveryFieldTheModelReads) {
   const MachineConfig base = helper_machine(steering_ir());
   for (const char* app : {"gcc", "mcf"}) {
     const TraceHandle trace = acquire_trace(spec_profile(app), kLen);
-    const std::vector<u8> base_outcomes = outcomes_of(base, *trace);
+    const std::vector<u16> base_outcomes = outcomes_of(base, *trace);
+    std::vector<u32> pcs;
+    for (const TraceRecord& r : trace->records) pcs.push_back(r.pc);
     std::size_t moved = 0;  // mutations whose borrowed outcomes change the result
     for (const auto& [field, mutate] : mutations) {
       MachineConfig changed = base;
       mutate(changed);
       ASSERT_EQ(machine_config_error(changed), "") << field;
       const std::string diff =
-          result_difference(private_run(changed, *trace), shared_run(changed, *trace, base_outcomes));
+          result_difference(private_run(changed, *trace),
+                            walk_run(changed, trace->program, pcs, base_outcomes));
       if (diff.empty()) continue;
       ++moved;
       EXPECT_FALSE(outcome_key(changed) == outcome_key(base))

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "rv/kernels.hpp"
 #include "scoped_env.hpp"
@@ -291,10 +292,11 @@ TEST(SweepService, EachJobReadsItsOwnProfilesTrace) {
 }
 
 TEST(SweepService, BatchGeneratesEachTraceOnceAndKeepsNone) {
-  // Batches one after the other, each over two cells (gcc and mcf at its
-  // own seed) of three configs: each batch generates each of its traces
-  // once, and none is left alive after it, so the third batch, a repeat of
-  // the first, generates its traces again.
+  // Batches one after the other, each over two unsampled cached cells (gcc
+  // and mcf at its own seed) of three configs: each batch streams each
+  // cell's pcs and outcomes from the generator once and takes no trace
+  // from the trace cache, and no cell is left alive after it, so the third
+  // batch, a repeat of the first, builds its cells again.
   SweepService service(/*threads=*/2);
   for (u64 seed : {4301, 4302, 4301}) {
     std::vector<JobRequest> reqs;
@@ -310,9 +312,12 @@ TEST(SweepService, BatchGeneratesEachTraceOnceAndKeepsNone) {
         reqs.push_back(req);
       }
     const u64 generated = trace_cache_stats().generated;
+    const u64 built = exp::cell_stats().built;
     EXPECT_EQ(run_encoded(service, reqs).size(), reqs.size());
+    EXPECT_EQ(exp::cell_stats().live, 0u) << seed;
+    EXPECT_EQ(exp::cell_stats().built - built, 2u) << seed;
+    EXPECT_EQ(trace_cache_stats().generated, generated) << seed;
     EXPECT_EQ(trace_cache_stats().live, 0u) << seed;
-    EXPECT_EQ(trace_cache_stats().generated - generated, 2u) << seed;
   }
 }
 
@@ -358,7 +363,8 @@ TEST(SweepService, LostStreamWithoutAJournalSkipsTheRest) {
 
 TEST(SweepService, InterleavedBatchGeneratesEachTraceOnce) {
   // Jobs of two traces, interleaved A, B, A, B, on one worker: the batch
-  // groups them per trace, so it generates two traces, not four.
+  // groups them per trace, so it builds two unsampled cells, not four, and
+  // generates no trace in the trace cache.
   std::vector<JobRequest> reqs;
   for (const MachineConfig& cfg : {monolithic_baseline(), helper_machine(steering_888())})
     for (const char* app : {"gcc", "mcf"}) {
@@ -371,8 +377,11 @@ TEST(SweepService, InterleavedBatchGeneratesEachTraceOnce) {
     }
   SweepService service(/*threads=*/1);
   const u64 generated = trace_cache_stats().generated;
+  const u64 built = exp::cell_stats().built;
   const std::map<u64, std::vector<u8>> got = run_encoded(service, reqs);
-  EXPECT_EQ(trace_cache_stats().generated - generated, 2u);
+  EXPECT_EQ(exp::cell_stats().built - built, 2u);
+  EXPECT_EQ(exp::cell_stats().live, 0u);
+  EXPECT_EQ(trace_cache_stats().generated, generated);
   EXPECT_EQ(trace_cache_stats().live, 0u);
   for (const JobRequest& req : reqs)
     EXPECT_EQ(got.at(job_id(req)),

@@ -147,16 +147,21 @@ TEST(TraceCache, KeyCoversTheWholeProfile) {
 }
 
 TEST(TraceCache, SweepCellGeneratesItsTraceOnce) {
-  // The baseline and both configs read one generation, held for the sweep.
+  // The baseline and both configs read one generation, held for the sweep:
+  // the cell's pcs and outcomes, streamed from the generator, so the
+  // unsampled cell takes no trace from the cache.
   exp::SweepSpec spec;
   spec.workloads = {profile_with_seed("parser", 4207)};
   spec.variants = {exp::variant_from_steering(steering_888()),
                    exp::variant_from_steering(steering_ir())};
   spec.trace_lens = {2500};
   const u64 generated = trace_cache_stats().generated;
+  const u64 built = exp::cell_stats().built;
   const exp::SweepResult res = exp::run_sweep(spec);
   EXPECT_EQ(res.points.size(), 2u);
-  EXPECT_EQ(trace_cache_stats().generated - generated, 1u);
+  EXPECT_EQ(exp::cell_stats().built - built, 1u);
+  EXPECT_EQ(exp::cell_stats().live, 0u);
+  EXPECT_EQ(trace_cache_stats().generated, generated);
   EXPECT_EQ(trace_cache_stats().live, 0u);
 }
 

@@ -10,9 +10,11 @@
 // materialized trace), the warm-up/measure sampled path (pipeline_sampled: a 5-window schedule
 // simulating ~25% of the trace — its items/sec counts *trace µops covered*,
 // so the gap to pipeline_streamed is the sampling speedup), and the
-// cumulative ladder as a cached sweep cell runs it (pipeline_ladder: the
-// baseline and the 7 rungs walking one shared outcome pass, counted in
-// config-µops, so it compares with pipeline_baseline). Results go to
+// cumulative ladder as an unsampled cached sweep cell runs it
+// (pipeline_ladder: generation streamed through one shared outcome pass
+// into the cell's pcs and outcomes, then the baseline and the 7 rungs
+// walking those, counted in config-µops, so it compares with
+// pipeline_baseline). Results go to
 // stdout as JSON; append them to BENCH_sim_throughput.json so each PR has a
 // recorded baseline to beat (see README "Performance"). These are the
 // repository's only whole-pipeline rates; bench_sim_throughput times the
@@ -34,8 +36,8 @@
 #include <vector>
 
 #include "bbcache/bb_cache.hpp"
-#include "core/outcome_model.hpp"
 #include "exp/sweep.hpp"
+#include "sample/outcome_pass.hpp"
 #include "sample/spec.hpp"
 #include "sample/windowed.hpp"
 #include "sim/simulator.hpp"
@@ -160,16 +162,19 @@ int main(int argc, char** argv) {
     if (r.final_tick == 0) std::abort();
   });
 
-  // The ladder of a cached sweep cell: one outcome pass over the trace per
-  // distinct outcome key (one here), then each config's timing walk.
+  // The ladder as an unsampled cached sweep cell runs it: the records
+  // stream from the generator through one outcome model per distinct
+  // outcome key (one here) into the cell's pcs and outcomes, then each
+  // config's timing walk reads those.
   std::vector<MachineConfig> ladder = {baseline};
   for (const exp::ConfigVariant& v : exp::cumulative_scheme_variants())
     ladder.push_back(v.machine);
   const double ladder_rate = best_items_per_sec(n_uops * ladder.size(), reps, [&] {
-    const SharedOutcomes outcomes = shared_outcomes(ladder, trace);
+    const sample::OutcomeTrace cell =
+        sample::outcome_trace(ladder, *sample::open_generating_stream(prof, n_uops), n_uops);
     for (std::size_t k = 0; k < ladder.size(); ++k) {
-      Pipeline p(ladder[k], trace.program);
-      p.feed(trace.records, outcomes[k]);
+      Pipeline p(ladder[k], cell.program);
+      p.feed(cell.pcs, cell[k]);
       if (p.finish().final_tick == 0) std::abort();
     }
   });
