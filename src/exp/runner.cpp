@@ -153,7 +153,7 @@ void simulate_cells(
   // and into passes of at most kMaxPassConfigs, so a daemon batch of many
   // configs on one trace neither builds a pipeline for each at once nor
   // keeps another batch waiting behind one long job.
-  // Every other cell runs one job per config: a cached trace is already
+  // Every other cell runs one job per config: a cached cell is already
   // shared, and a full streamed run spends too little on generation to pay
   // for K pipelines fed in turn (sharing passes, the cached ladder benchmark
   // ran 5% slower with 16% more peak RSS, and a streamed 1M-µop
