@@ -1,10 +1,14 @@
 #include "core/cluster_epoch.hpp"
 
+#include <limits>
+
 namespace hcsim {
 
 void ClusterEpoch::init(unsigned issue_width, unsigned queue_size,
                         unsigned copy_ports, Tick cycle_ticks) {
   HCSIM_CHECK(queue_size > 0, "ClusterEpoch queue size must be positive");
+  HCSIM_CHECK(issue_width <= std::numeric_limits<u8>::max(),
+              "ClusterEpoch issue width must fit a queue bucket");
   // The SlotSchedule constructors check the widths and cycle_ticks.
   issue_ = SlotSchedule(issue_width, cycle_ticks);
   copy_ = copy_ports > 0 ? SlotSchedule(copy_ports, cycle_ticks) : SlotSchedule();
@@ -48,11 +52,11 @@ void ClusterEpoch::drain_cycles(u64 target_cycle) {
 void ClusterEpoch::grow_queue(u64 cycle) {
   u64 cap = qmask_ + 1;
   while (cycle - qdrained_ >= cap) cap *= 2;
-  std::vector<u32> bigger(cap, 0);
+  std::vector<u8> bigger(cap, 0);
   std::vector<u64> bits(cap / 64, 0);
   const u64 new_mask = cap - 1;
   for (u64 c = qdrained_; c < qtail_; ++c) {
-    const u32 n = qring_[c & qmask_];
+    const u8 n = qring_[c & qmask_];
     if (n) {
       bigger[c & new_mask] = n;
       bits[(c & new_mask) >> 6] |= u64{1} << (c & 63);

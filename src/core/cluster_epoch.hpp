@@ -74,28 +74,6 @@ class ClusterEpoch {
     return earliest_dispatch_full();
   }
 
-  /// Record a dispatched µop departing the queue at `issue` (cycle-aligned
-  /// — it comes from an issue-slot reservation).
-  void queue_add(Tick issue) {
-    // An entry departing below the drain head already "left" the queue.
-    if (issue < head_tick_) [[unlikely]] return;
-    const u64 c = issue_.to_cycle(issue);
-    if (c - qdrained_ > qmask_) [[unlikely]] {
-      // The drain is lazy, so qdrained_ may lag head_tick_ by far more than
-      // the departures in flight (a queue that never fills never drains).
-      // Retire what has departed first, and grow only if `c` is still out
-      // of the ring's span.
-      if (head_tick_ > 0) catch_up();
-      if (c - qdrained_ > qmask_) grow_queue(c);
-    }
-    const u64 pos = c & qmask_;
-    if (qring_[pos]++ == 0) qocc_[pos >> 6] |= u64{1} << (pos & 63);
-    ++live_;
-    qtail_ = c >= qtail_ ? c + 1 : qtail_;
-    qnext_ = c < qnext_ ? c : qnext_;
-    full_slack_ -= c > full_at_cycle_;
-  }
-
   /// Queue occupancy as seen at tick `t` (after the lazy drain). Unlike
   /// earliest_dispatch this needs the exact count, so it always catches up.
   unsigned occupancy(Tick t) {
@@ -117,9 +95,9 @@ class ClusterEpoch {
   /// Initial queue-ledger span in cycle buckets (power of two, multiple of
   /// 64). It spans the departures still in flight, from the drained cycle
   /// on: queue_add drains what has departed before it grows the ring by
-  /// doubling. Departures spread over at most a main-memory round trip, so
-  /// 16k cycles is generous.
-  static constexpr u64 kInitialQueueCycles = u64{1} << 14;
+  /// doubling, so a run whose departures spread wider (a chain of misses)
+  /// only grows it, and no result depends on it.
+  static constexpr u64 kInitialQueueCycles = u64{1} << 10;
   /// The queue ledger's current span in cycle buckets.
   u64 queue_cycles() const { return qmask_ + 1; }
 
@@ -138,6 +116,29 @@ class ClusterEpoch {
       return;
     }
     drain_cycles(tc);
+  }
+
+  /// Record a dispatched µop departing the queue at `issue` (cycle-aligned
+  /// — it comes from an issue-slot reservation, so a bucket counts at most
+  /// the issue width).
+  void queue_add(Tick issue) {
+    // An entry departing below the drain head already "left" the queue.
+    if (issue < head_tick_) [[unlikely]] return;
+    const u64 c = issue_.to_cycle(issue);
+    if (c - qdrained_ > qmask_) [[unlikely]] {
+      // The drain is lazy, so qdrained_ may lag head_tick_ by far more than
+      // the departures in flight (a queue that never fills never drains).
+      // Retire what has departed first, and grow only if `c` is still out
+      // of the ring's span.
+      if (head_tick_ > 0) catch_up();
+      if (c - qdrained_ > qmask_) grow_queue(c);
+    }
+    const u64 pos = c & qmask_;
+    if (qring_[pos]++ == 0) qocc_[pos >> 6] |= u64{1} << (pos & 63);
+    ++live_;
+    qtail_ = c >= qtail_ ? c + 1 : qtail_;
+    qnext_ = c < qnext_ ? c : qnext_;
+    full_slack_ -= c > full_at_cycle_;
   }
 
   void drain_cycles(u64 target_cycle);
@@ -161,7 +162,10 @@ class ClusterEpoch {
   mutable u64 full_at_cycle_ = 0;
   mutable i64 full_slack_ = -1;
 
-  std::vector<u32> qring_;  // per-cycle-bucket departure counts
+  // Per-cycle-bucket departure counts. A bucket counts the µops issuing in
+  // one cycle, so it holds at most the issue width, which init() checks
+  // fits a u8.
+  std::vector<u8> qring_;
   std::vector<u64> qocc_;   // bitmap: bucket non-empty
 
   SlotSchedule issue_;

@@ -48,7 +48,8 @@ OutcomeModel::OutcomeModel(const MachineConfig& cfg, const Program& program)
     // The pipeline's own crack: these three facts do not depend on steering.
     const UopTemplate t = build_uop_template(su, SteeringConfig{}, width_bits_);
     static_.push_back({t.imm, static_cast<u8>((t.tracked ? kTracked : 0) | (t.is_mem ? kMem : 0) |
-                                              (t.is_branch_cond ? kBranchCond : 0))});
+                                              (t.is_branch_cond ? kBranchCond : 0) |
+                                              (t.cr_op ? kCrOp : 0))});
   }
 }
 
@@ -69,16 +70,34 @@ void OutcomeModel::run(std::span<const TraceRecord> recs, std::span<u16> out) {
       bpred_.update(r.pc, r.taken);
     }
     // The CR carry check's operands: every source slot and the immediate,
-    // each against the output a CR-steered µop would compute.
-    const u32 output = (su.kind & kMem) ? r.mem_addr : r.result;
-    unsigned match = unsigned{upper_bits_match(su.imm, output, width_bits_)} << Outcome::kImmSlot;
-    for (unsigned k = 0; k < kMaxSrcs; ++k)
-      match |= unsigned{upper_bits_match(r.src_vals[k], output, width_bits_)} << k;
+    // each against the output a CR-steered µop would compute. No other
+    // opcode is ever CR shaped.
+    unsigned match = 0;
+    if (su.kind & kCrOp) {
+      const u32 output = (su.kind & kMem) ? r.mem_addr : r.result;
+      match = unsigned{upper_bits_match(su.imm, output, width_bits_)} << Outcome::kImmSlot;
+      for (unsigned k = 0; k < kMaxSrcs; ++k)
+        match |= unsigned{upper_bits_match(r.src_vals[k], output, width_bits_)} << k;
+    }
     out[i] = static_cast<u16>(lanes | (unsigned{p.narrow} << Outcome::kPredNarrowBit) |
                               (unsigned{p.confident} << Outcome::kConfidentBit) |
                               (event << Outcome::kEventShift) |
                               (match << Outcome::kMatchShift));
   }
+}
+
+u64 mark_jumps(std::span<const TraceRecord> recs, u64 next_pc, std::span<u16> out,
+               std::vector<u32>& jumps) {
+  HCSIM_CHECK(out.size() >= recs.size(), "mark_jumps: one outcome per record");
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const u32 pc = recs[i].pc;
+    if (pc != next_pc) {
+      out[i] |= Outcome::kJump;
+      jumps.push_back(pc);
+    }
+    next_pc = u64{pc} + 1;
+  }
+  return next_pc;
 }
 
 }  // namespace hcsim

@@ -11,11 +11,12 @@
 // the same outcome key. An OutcomeModel works it out once, as one 16-bit
 // outcome per record, and writes beside it the one value test the timing
 // walk still needs: which operands agree with the µop's output above the
-// helper width (the CR carry check). Any number of Pipelines then walk the
-// trace as its pcs and those outcomes alone (Pipeline::feed(pcs, outcomes)),
-// so a cell need not keep its records (sample/outcome_pass.hpp). The carry
-// and copy halves of the width predictor stay in each pipeline: what trains
-// them depends on steering.
+// helper width (the CR carry check). mark_jumps then flags the records
+// whose pc does not follow the one before and lists their pcs, so any
+// number of Pipelines walk the trace as those outcomes and that jump list
+// alone (Pipeline::feed(outcomes, jumps)), and a cell need not keep its
+// records (sample/outcome_pass.hpp). The carry and copy halves of the width
+// predictor stay in each pipeline: what trains them depends on steering.
 #pragma once
 
 #include <span>
@@ -60,7 +61,12 @@ std::vector<std::size_t> outcome_classes(std::span<const MachineConfig> cfgs);
 ///   bits 8-10  operand slot k's value agrees with the µop's output (its
 ///              mem_addr for a memory µop, else its result) on every bit
 ///              above the helper width (upper_bits_match), k = 0, 1, 2;
-///   bit 11     the same test for the static µop's immediate.
+///   bit 11     the same test for the static µop's immediate;
+///              bits 8-11 are set only for a µop whose opcode the CR
+///              scheme may steer (UopTemplate::cr_op), the only µops
+///              whose walk reads them;
+///   bit 12     the record is a jump (mark_jumps): its pc is the next entry
+///              of the walk's jump list, not the previous record's pc + 1.
 struct Outcome {
   static constexpr unsigned kPredNarrowBit = 4;
   static constexpr unsigned kConfidentBit = 5;
@@ -68,8 +74,10 @@ struct Outcome {
   static constexpr unsigned kMatchShift = 8;
   /// The operand slot the immediate's match bit stands for.
   static constexpr unsigned kImmSlot = kMaxSrcs;
+  static constexpr unsigned kJumpBit = kMatchShift + kImmSlot + 1;
+  static constexpr u16 kJump = u16{1} << kJumpBit;
   static_assert(WidthLaneBlock::kResultBit < kPredNarrowBit, "lanes overlap");
-  static_assert(kMatchShift + kImmSlot < 16, "match bits overflow the outcome");
+  static_assert(kJumpBit < 16, "the jump bit overflows the outcome");
 
   static u8 src_lanes(u16 o) { return static_cast<u8>(o & WidthLaneBlock::kSrcMask); }
   static bool result_narrow(u16 o) { return (o >> WidthLaneBlock::kResultBit) & 1u; }
@@ -82,7 +90,21 @@ struct Outcome {
   /// Operand slot `slot` (kImmSlot: the immediate) agrees with the output
   /// above the helper width.
   static bool upper_match(u16 o, unsigned slot) { return (o >> (kMatchShift + slot)) & 1u; }
+  static bool jump(u16 o) { return o & kJump; }
 };
+
+/// mark_jumps' `next_pc` before a walk's first record: no u32 pc equals it,
+/// so that record is a jump.
+inline constexpr u64 kWalkStart = ~u64{0};
+
+/// Mark the jumps among `recs`, whose outcomes `out` holds: set
+/// Outcome::kJumpBit of each record whose pc is not `next_pc`, the pc that
+/// continues the record before it (kWalkStart before the first), and append
+/// its pc to `jumps`. Returns the pc that continues the last record, so a
+/// stream marked span by span gets the marks it gets whole. A walk reads
+/// each record's pc back as pc = jump ? jumps[j++] : pc + 1.
+u64 mark_jumps(std::span<const TraceRecord> recs, u64 next_pc, std::span<u16> out,
+               std::vector<u32>& jumps);
 
 class OutcomeModel {
  public:
@@ -91,8 +113,9 @@ class OutcomeModel {
   OutcomeModel(const MachineConfig& cfg, const Program& program);
 
   /// Walk `recs` in program order, writing one outcome per record to the
-  /// front of `out`, which must hold at least recs.size() outcomes.
-  /// Splitting a stream into calls differently writes the same outcomes.
+  /// front of `out`, which must hold at least recs.size() outcomes. The
+  /// jump bit is left clear (mark_jumps sets it). Splitting a stream into
+  /// calls differently writes the same outcomes.
   void run(std::span<const TraceRecord> recs, std::span<u16> out);
 
  private:
@@ -100,6 +123,7 @@ class OutcomeModel {
   static constexpr u8 kTracked = 1;     // trains the result predictor
   static constexpr u8 kMem = 2;         // probes the tag arrays
   static constexpr u8 kBranchCond = 4;  // trains the branch predictor
+  static constexpr u8 kCrOp = 8;        // gets the CR match bits
   struct StaticFacts {
     u32 imm = 0;  // the immediate, for its match bit
     u8 kind = 0;

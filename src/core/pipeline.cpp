@@ -594,31 +594,51 @@ void Pipeline::bump_per_uop_counters(u64 n) {
   res_.uops += n;
 }
 
-void Pipeline::walk(std::span<const u32> pcs, const u16* outcomes) {
-  bump_per_uop_counters(pcs.size());
-  for (std::size_t i = 0; i < pcs.size(); ++i)
-    feed_record(pcs[i], lookup_template(pcs[i]), outcomes[i]);
+void Pipeline::walk(std::span<const u16> outcomes, std::span<const u32> jumps) {
+  HCSIM_CHECK(next_seq_ > 0 || outcomes.empty() || Outcome::jump(outcomes.front()),
+              "Pipeline::feed: a walk must start at a jump");
+  bump_per_uop_counters(outcomes.size());
+  const std::size_t program_size = program_.uops.size();
+  const u32* jump = jumps.data();
+  const u32* const jumps_end = jump + jumps.size();
+  u32 pc = walk_pc_;
+  for (const u16 outcome : outcomes) {
+    if (Outcome::jump(outcome)) {
+      HCSIM_CHECK(jump != jumps_end, "Pipeline::feed: a jump bit without its jump");
+      pc = *jump++;
+    } else {
+      ++pc;
+    }
+    HCSIM_CHECK(pc < program_size, "Pipeline::feed: pc outside the program");
+    feed_record(pc, lookup_template(pc), outcome);
+  }
+  HCSIM_CHECK(jump == jumps_end, "Pipeline::feed: a jump without its jump bit");
+  walk_pc_ = pc;
 }
 
 void Pipeline::feed(std::span<const TraceRecord> recs) {
   HCSIM_CHECK(own_model_ || next_seq_ == 0,
               "Pipeline::feed: records after shared outcomes");
-  if (!own_model_) own_model_ = std::make_unique<OutcomeModel>(cfg_, program_);
-  std::array<u32, kOutcomeBlock> pcs;
+  if (!own_model_) {
+    own_model_ = std::make_unique<OutcomeModel>(cfg_, program_);
+    own_jumps_.reserve(kOutcomeBlock);
+  }
   std::array<u16, kOutcomeBlock> outcomes;
   while (!recs.empty()) {
     const std::size_t n = std::min(recs.size(), kOutcomeBlock);
     own_model_->run(recs.first(n), outcomes);
-    for (std::size_t i = 0; i < n; ++i) pcs[i] = recs[i].pc;
-    walk(std::span<const u32>(pcs).first(n), outcomes.data());
+    // The pc that continues the last record walked, if any.
+    const u64 next_pc = next_seq_ == 0 ? kWalkStart : u64{walk_pc_} + 1;
+    own_jumps_.clear();
+    mark_jumps(recs.first(n), next_pc, outcomes, own_jumps_);
+    walk(std::span<const u16>(outcomes).first(n), own_jumps_);
     recs = recs.subspan(n);
   }
 }
 
-void Pipeline::feed(std::span<const u32> pcs, std::span<const u16> outcomes) {
-  HCSIM_CHECK(outcomes.size() == pcs.size(), "Pipeline::feed: one outcome per record");
+void Pipeline::feed(std::span<const u16> outcomes, std::span<const u32> jumps) {
   HCSIM_CHECK(!own_model_, "Pipeline::feed: shared outcomes after private ones");
-  walk(pcs, outcomes.data());
+  walk(outcomes, jumps);
 }
 
 Pipeline::StatsCheckpoint Pipeline::checkpoint_stats() const {

@@ -15,9 +15,10 @@
 // with its output above the helper width depend only on program order and
 // values, so an OutcomeModel (core/outcome_model.hpp) works them out once
 // per record, and every config with the same outcome key walks the same
-// outcomes. The timing walk reads no record: only each µop's pc and its
-// 16-bit outcome, so a cell can keep 6 bytes per record instead of its
-// 32-byte trace.
+// outcomes. The timing walk reads no record: only each µop's 16-bit outcome
+// and, for the µops whose pc is not the previous one's + 1 (the jumps), the
+// pc from a jump list, so a cell can keep 2 bytes per record plus 4 per
+// jump instead of its 32-byte trace.
 //
 // Global time advances in ticks: one tick = one helper-cluster cycle; the
 // frontend, wide backend, caches and commit operate every
@@ -66,16 +67,20 @@ class Pipeline {
   /// Process a batch of dynamic µops in program order. Splitting a stream
   /// into batches differently gives bit-identical results. Each block of
   /// kOutcomeBlock records first runs through the pipeline's private
-  /// OutcomeModel (built on the first call), then, as its pcs and
-  /// outcomes, through the timing walk.
+  /// OutcomeModel (built on the first call) and mark_jumps, then, as its
+  /// outcomes and jumps, through the timing walk.
   void feed(std::span<const TraceRecord> recs);
 
-  /// The same walk over records given as their pcs and the outcomes an
-  /// OutcomeModel built with this config's outcome key wrote for them (one
-  /// per record), from the stream's first record on. Gives the same result
-  /// as feed(recs). A pipeline takes one of the two forms for its whole
-  /// run.
-  void feed(std::span<const u32> pcs, std::span<const u16> outcomes);
+  /// The same walk over records given as the outcomes an OutcomeModel
+  /// built with this config's outcome key wrote for them (one per record)
+  /// and the pcs of those whose jump bit mark_jumps set (one per jump bit,
+  /// in order), from the stream's first record on. Each record's pc is the
+  /// next jump's pc when its jump bit is set, else the previous record's
+  /// pc + 1, carried from the previous call. Gives the same result as
+  /// feed(recs). Aborts unless the first record walked is a jump, the
+  /// call's jump bits and jumps pair up one for one, and every pc indexes
+  /// the program. A pipeline takes one of the two forms for its whole run.
+  void feed(std::span<const u16> outcomes, std::span<const u32> jumps);
 
   /// Flush training windows, derive the summary statistics and return the
   /// result. Call exactly once, after the last feed().
@@ -148,8 +153,8 @@ class Pipeline {
   /// upper-bit matches for the CR check.
   void feed_record(u32 pc, const UopTemplate& t, u16 outcome);
 
-  /// The timing walk over pcs and their outcomes.
-  void walk(std::span<const u32> pcs, const u16* outcomes);
+  /// The timing walk over outcomes and their jumps (feed's checks).
+  void walk(std::span<const u16> outcomes, std::span<const u32> jumps);
 
   /// Template for `pc`: decode-cache replay when enabled (counting hits and
   /// misses), a fresh crack into scratch_tmpl_ when disabled.
@@ -224,8 +229,10 @@ class Pipeline {
   MemoryPorts mem_ports_;
   Ratio dl0_hits_;  // hits / accesses, counted from the outcome levels
   Ratio ul1_hits_;
-  // feed(recs)'s private model; feed(pcs, outcomes) never builds one.
+  // feed(recs)'s private model and its block's jumps; feed(outcomes, jumps)
+  // never builds one.
   std::unique_ptr<OutcomeModel> own_model_;
+  std::vector<u32> own_jumps_;
 
   // Decode-and-steer cache (src/bbcache): private by default, injectable.
   DecodeCache own_cache_;
@@ -286,6 +293,7 @@ class Pipeline {
   /// stalls on a full issue queue, younger µops cannot dispatch earlier.
   Tick dispatch_backpressure_ = 0;
   SeqNum next_seq_ = 0;
+  u32 walk_pc_ = 0;  // the last walked record's pc
 
   SimResult res_;
 };

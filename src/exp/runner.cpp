@@ -171,8 +171,9 @@ void simulate_cells(
   // last to end. Streamed cells take no hold. A sampled cached cell holds
   // its trace. An unsampled one holds only what its configs' timing walks
   // read, streamed once from the generator through one outcome model per
-  // distinct outcome key: each record's pc and, per key, its outcome. So
-  // each config's job is only the timing walk, and no record is kept.
+  // distinct outcome key: per key, each record's outcome, and the pc of
+  // each jump. So each config's job is only the timing walk, and no record
+  // is kept.
   struct Hold {
     std::once_flag acquired;
     TraceHandle trace;
@@ -218,7 +219,7 @@ void simulate_cells(
           });
         if (cached && !cell.spec.enabled()) {
           Pipeline p(cell.configs[job.lo], hold.walk->program);
-          p.feed(hold.walk->pcs, (*hold.walk)[job.lo]);
+          p.feed((*hold.walk)[job.lo], hold.walk->jumps);
           on_result(job.c, job.lo, p.finish());
         } else if (job.hi - job.lo == 1) {
           on_result(job.c, job.lo, simulate_workload(cell.configs[job.lo], cell.profile,

@@ -8,7 +8,7 @@
 //
 // simulate_cells is the one executor: run_sweep, svc::run_sweep_ft's local
 // fallback and the hcsimd service all hand it SweepCells, so all three share
-// a cell's generation: an unsampled cached cell's pcs and outcomes, a
+// a cell's generation: an unsampled cached cell's outcomes and jumps, a
 // sampled cached cell's trace, or a sampled streamed cell's record-stream
 // passes.
 #pragma once
@@ -155,9 +155,10 @@ inline constexpr std::size_t kMaxPassConfigs = 8;
 /// alive. A sampled cached cell holds its trace. An unsampled one holds
 /// no record: its first job streams the records from the generator
 /// (sample::open_generating_stream) through one outcome model per distinct
-/// outcome key of its configs and keeps the program, each record's pc and
-/// one 16-bit outcome per record per key (sample::outcome_trace), 4 + 2 ×
-/// keys bytes per record, and each job walks its config over those.
+/// outcome key of its configs and keeps the program, one 16-bit outcome
+/// per record per key and the pc of each jump (sample::outcome_trace), 2 ×
+/// keys bytes per record plus 4 per jump, and each job walks its config
+/// over those.
 /// on_result(c, k, result) runs on the worker that finished config k of
 /// cell c, while the cell is held; on_done(c, k), if set, then runs on the
 /// calling thread in completion order, and once it returns false,
@@ -170,7 +171,7 @@ void simulate_cells(
 /// Unsampled cached cells held by simulate_cells, for tests: the
 /// counterpart of trace_cache_stats() for the cells that hold no trace.
 struct CellStats {
-  std::size_t live = 0;  // cells whose pcs and outcomes are held now
+  std::size_t live = 0;  // cells whose outcomes and jumps are held now
   u64 built = 0;         // cells built since the process started
 };
 CellStats cell_stats();

@@ -3,13 +3,14 @@
 // The configs of a cell read one trace, and configs with the same outcome
 // key read the same outcomes of it (core/outcome_model.hpp). An OutcomePass
 // pulls a stream's records in spans through one OutcomeModel per distinct
-// key and hands each span on as what a timing walk reads: its pcs and, per
-// key, its outcomes. Two consumers share it:
+// key and hands each span on as what a timing walk reads: per key, its
+// outcomes, and the pcs of its jumps (mark_jumps). Two consumers share it:
 //   * a sampled pass (windowed.cpp) feeds every config's pipeline each span
 //     as it comes;
 //   * an unsampled cached sweep cell keeps the spans (outcome_trace), so
-//     its configs' walks run on 4 + 2 × keys bytes per record instead of
-//     the 32-byte records, and the records themselves are never stored.
+//     its configs' walks run on 2 × keys bytes per record plus 4 per jump
+//     instead of the 32-byte records, and the records themselves are never
+//     stored.
 #pragma once
 
 #include <cstddef>
@@ -40,11 +41,12 @@ class OutcomePass {
 
   /// Pull records [begin, end) of `stream` (fewer when the trace ends
   /// first) through every model, in spans of at most kSpanRecords, calling
-  /// `on_span` once each span's pcs() and outcomes() are written.
+  /// `on_span` once each span's jumps() and outcomes() are written. The
+  /// first record of a pull is a jump, so a walk may start at any pull.
   void pull(RecordStream& stream, u64 begin, u64 end, const std::function<void()>& on_span);
 
-  /// The current span's pcs, and key `m`'s outcomes of it.
-  std::span<const u32> pcs() const { return std::span<const u32>(pcs_).first(n_); }
+  /// The current span's jumps, and key `m`'s outcomes of it.
+  std::span<const u32> jumps() const { return jumps_; }
   std::span<const u16> outcomes(std::size_t m) const {
     return std::span<const u16>(outcomes_[m]).first(n_);
   }
@@ -58,17 +60,18 @@ class OutcomePass {
   std::vector<std::size_t> key_of_;
   std::vector<OutcomeModel> models_;
   std::vector<TraceRecord> buf_;
-  std::vector<u32> pcs_;
+  std::vector<u32> jumps_;
   std::vector<std::vector<u16>> outcomes_;  // per key
   std::size_t n_ = 0;                       // records in the current span
+  u64 next_pc_ = kWalkStart;                // mark_jumps' carried pc
   u64 fed_ = 0;
 };
 
-/// A trace as its timing walks read it: the program, every record's pc,
+/// A trace as its timing walks read it: the program, the pc of every jump,
 /// and per distinct outcome key of a config list every record's outcome.
 struct OutcomeTrace {
   Program program;
-  std::vector<u32> pcs;
+  std::vector<u32> jumps;
   std::vector<std::vector<u16>> outcomes;  // per key
   std::vector<std::size_t> key_of;         // per config, its key
 

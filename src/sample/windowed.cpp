@@ -123,7 +123,7 @@ class PipelineGroup {
   void pull(RecordStream& stream, u64 begin, u64 end) {
     pass_.pull(stream, begin, end, [this] {
       for (std::size_t k = 0; k < pipes_.size(); ++k)
-        pipes_[k]->feed(pass_.pcs(), pass_.outcomes(pass_.key_of(k)));
+        pipes_[k]->feed(pass_.outcomes(pass_.key_of(k)), pass_.jumps());
     });
   }
 

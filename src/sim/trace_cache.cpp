@@ -135,8 +135,9 @@ u64 stream_threshold() {
   // 2M records ≈ 64MB of trace — the most one cached trace should cost
   // while its jobs run. That bounds the traces of sampled cached sweep
   // cells and of simulate_workload's unsampled runs (hcsim_run); an
-  // unsampled cached sweep cell keeps no trace, only 4 + 2 × keys bytes
-  // per record (exp::simulate_cells), 12MB for a one-key cell at 2M.
+  // unsampled cached sweep cell keeps no trace, only 2 × keys bytes per
+  // record plus 4 per jump (exp::simulate_cells), about 4.4MB for a
+  // one-key SPEC cell at 2M.
   // Deliberately not cached in a static: the threshold-boundary tests move
   // it at runtime.
   return env_u64("HCSIM_STREAM_THRESHOLD", 2000000);

@@ -243,7 +243,7 @@ TEST(ClusterEpoch, QueueThatNeverFillsKeepsItsInitialRing) {
   // One µop every 1000 cycles, each departing 3 cycles after dispatch: the
   // queue of 32 never fills, not even on the stale count, so the lazy
   // drain never runs, and the stream spans 24k cycles, more than the
-  // ring's initial 16k. The ring must still span only the departures in
+  // ring's initial 1k. The ring must still span only the departures in
   // flight rather than everything since the first dispatch.
   ClusterEpoch e;
   e.init(/*width=*/2, /*qsize=*/32, /*copy_ports=*/0, /*cycle_ticks=*/1);
@@ -251,6 +251,21 @@ TEST(ClusterEpoch, QueueThatNeverFillsKeepsItsInitialRing) {
   EXPECT_EQ(e.queue_cycles(), ClusterEpoch::kInitialQueueCycles);
   EXPECT_EQ(e.occupancy(23000), 1u);
   EXPECT_EQ(e.occupancy(23003), 0u);
+}
+
+TEST(ClusterEpoch, BucketHoldsTheWidestIssueCycle) {
+  // A queue bucket is one byte: at the widest issue width a machine config
+  // allows, one cycle's 255 departures fill it exactly, and a width beyond
+  // that is refused.
+  ClusterEpoch e;
+  e.init(/*width=*/255, /*qsize=*/512, /*copy_ports=*/0, /*cycle_ticks=*/1);
+  for (unsigned i = 0; i < 255; ++i) EXPECT_EQ(e.dispatch(0, 5).issue, 5u);
+  EXPECT_EQ(e.dispatch(0, 5).issue, 6u);
+  EXPECT_EQ(e.occupancy(4), 256u);
+  EXPECT_EQ(e.occupancy(5), 1u);  // the drain took the bucket's 255 back
+  EXPECT_EQ(e.occupancy(6), 0u);
+  ClusterEpoch wider;
+  EXPECT_DEATH(wider.init(256, 32, 0, 1), "fit a queue bucket");
 }
 
 }  // namespace

@@ -243,7 +243,7 @@ TEST(Runner, BaselineSharedAcrossVariantsOfOneApp) {
 
 TEST(Runner, SweepHoldsAtMostThreadsPlusOneTraces) {
   // The cumulative ladder: 12 unsampled cached cells of 8 configs. Each
-  // cell's pcs and outcomes are streamed from the generator once and held
+  // cell's outcomes and jumps are streamed from the generator once and held
   // from its first job to its last, and jobs start in order with at most
   // one per thread running, so only the cells of running jobs and the cell
   // whose jobs have started but not all of them are held; none is left
@@ -275,8 +275,8 @@ TEST(Runner, SweepHoldsAtMostThreadsPlusOneTraces) {
 TEST(Runner, SimulateCellsHoldsEachCellsTraceFromItsFirstJobToItsLast) {
   // One thread runs the jobs one after another: an unsampled cached cell,
   // a sampled cell above the (lowered) stream threshold, and a sampled
-  // cached cell. While the first cell's results arrive, its pcs and
-  // outcomes and no trace are held; the streamed cell reads the generator
+  // cached cell. While the first cell's results arrive, its outcomes and
+  // jumps and no trace are held; the streamed cell reads the generator
   // and holds nothing; while the last cell's results arrive, its trace and
   // no other is live.
   const ScopedEnv threshold("HCSIM_STREAM_THRESHOLD", "5000");

@@ -1,12 +1,15 @@
 // The shared outcome model (core/outcome_model.hpp): a pipeline that walks
-// pcs and outcomes from a model shared per outcome key gives the result of
-// its private feed, the outcome's match bits are the CR carry check, and the
-// key names every config field that moves an outcome.
+// outcomes from a model shared per outcome key and their jump list gives
+// the result of its private feed, the jump list and jump bits give back
+// every record's pc, a walk aborts on a jump list that does not match, the
+// outcome's match bits are the CR carry check, and the key names every
+// config field that moves an outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -20,6 +23,7 @@
 #include "isa/opcode.hpp"
 #include "rv/kernels.hpp"
 #include "sample/outcome_pass.hpp"
+#include "sample/spec.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace_cache.hpp"
 #include "util/narrow.hpp"
@@ -58,15 +62,52 @@ void in_spans(std::size_t size, const std::function<void(std::size_t, std::size_
   }
 }
 
-/// `cfg`'s outcomes over `trace`, written in spans.
-std::vector<u16> outcomes_of(const MachineConfig& cfg, const Trace& trace) {
-  std::vector<u16> out(trace.records.size());
+/// A walk's input: outcomes with their jump bits, and the jumps' pcs.
+struct Walk {
+  std::vector<u16> outcomes;
+  std::vector<u32> jumps;
+};
+
+/// `cfg`'s outcomes over `trace` and their jumps, both written in spans.
+Walk outcomes_of(const MachineConfig& cfg, const Trace& trace) {
+  Walk w;
+  w.outcomes.resize(trace.records.size());
   OutcomeModel model(cfg, trace.program);
-  in_spans(out.size(), [&](std::size_t at, std::size_t n) {
-    model.run(std::span<const TraceRecord>(trace.records).subspan(at, n),
-              std::span<u16>(out).subspan(at, n));
+  u64 next_pc = kWalkStart;
+  in_spans(w.outcomes.size(), [&](std::size_t at, std::size_t n) {
+    const std::span<const TraceRecord> recs =
+        std::span<const TraceRecord>(trace.records).subspan(at, n);
+    const std::span<u16> out = std::span<u16>(w.outcomes).subspan(at, n);
+    model.run(recs, out);
+    next_pc = mark_jumps(recs, next_pc, out, w.jumps);
   });
-  return out;
+  return w;
+}
+
+std::size_t count_jumps(std::span<const u16> outcomes) {
+  return static_cast<std::size_t>(std::count_if(outcomes.begin(), outcomes.end(),
+                                                [](u16 o) { return Outcome::jump(o); }));
+}
+
+/// The pc of every record of `outcomes`, as a walk reads it back from the
+/// jump bits and `jumps`, appended to `pcs`. `pc` is the pc before the
+/// first record; a poisoned one shows when that record is not a jump.
+/// Returns the last record's pc, or nothing when the jump bits and `jumps`
+/// do not pair up.
+std::optional<u32> rebuild_pcs(std::span<const u16> outcomes, std::span<const u32> jumps,
+                               u32 pc, std::vector<u32>& pcs) {
+  std::size_t j = 0;
+  for (const u16 o : outcomes) {
+    if (Outcome::jump(o)) {
+      if (j == jumps.size()) return std::nullopt;
+      pc = jumps[j++];
+    } else {
+      ++pc;
+    }
+    pcs.push_back(pc);
+  }
+  if (j != jumps.size()) return std::nullopt;
+  return pc;
 }
 
 SimResult private_run(const MachineConfig& cfg, const Trace& trace) {
@@ -77,12 +118,17 @@ SimResult private_run(const MachineConfig& cfg, const Trace& trace) {
   return p.finish();
 }
 
-/// `cfg`'s timing walk over `pcs` and `outcomes`, fed in spans.
-SimResult walk_run(const MachineConfig& cfg, const Program& program, std::span<const u32> pcs,
-                   std::span<const u16> outcomes) {
+/// `cfg`'s timing walk over `outcomes` and `jumps`, fed in spans, each
+/// with the jumps its jump bits name.
+SimResult walk_run(const MachineConfig& cfg, const Program& program,
+                   std::span<const u16> outcomes, std::span<const u32> jumps) {
   Pipeline p(cfg, program);
-  in_spans(pcs.size(), [&](std::size_t at, std::size_t n) {
-    p.feed(pcs.subspan(at, n), outcomes.subspan(at, n));
+  std::size_t j = 0;
+  in_spans(outcomes.size(), [&](std::size_t at, std::size_t n) {
+    const std::span<const u16> span = outcomes.subspan(at, n);
+    const std::size_t n_jumps = count_jumps(span);
+    p.feed(span, jumps.subspan(j, n_jumps));
+    j += n_jumps;
   });
   return p.finish();
 }
@@ -115,11 +161,11 @@ TEST(Outcomes, SharedMatchesPrivate) {
     const sample::OutcomeTrace cell =
         sample::outcome_trace(cfgs, *sample::open_generating_stream(prof, kLen), kLen);
     ASSERT_EQ(cell.outcomes.size(), 8u) << prof.name;
-    ASSERT_EQ(cell.pcs.size(), trace->records.size()) << prof.name;
     for (std::size_t k = 0; k < cfgs.size(); ++k) {
       EXPECT_EQ(cell.key_of[k], classes[k]);
+      ASSERT_EQ(cell[k].size(), trace->records.size()) << prof.name;
       const SimResult own = simulate(cfgs[k], *trace);
-      EXPECT_EQ(result_difference(own, walk_run(cfgs[k], cell.program, cell.pcs, cell[k])), "")
+      EXPECT_EQ(result_difference(own, walk_run(cfgs[k], cell.program, cell[k], cell.jumps)), "")
           << prof.name << " config " << k << " (" << cfgs[k].steer.describe() << ")";
 
       const u64 dl0_accesses = own.counters.get(Counter::kDl0Accesses);
@@ -133,21 +179,123 @@ TEST(Outcomes, SharedMatchesPrivate) {
   }
 }
 
+TEST(Outcomes, JumpsRebuildEveryPc) {
+  // Every record's pc, read back from the jump bits and the jump list as a
+  // walk reads it, is the generator's: from a held cell (outcome_trace) and
+  // from each pull of a sampled pass, whose first record must be a jump
+  // (rebuild_pcs starts each pull from a poisoned pc).
+  constexpr u32 kPoison = 0xdead0000u;
+  sample::SampleSpec spec;
+  spec.warmup = 1000;
+  spec.measure = 2000;
+  spec.period = 5000;
+  const std::vector<sample::WindowRange> plan = sample::plan_windows(spec, kLen);
+  ASSERT_EQ(plan.size(), 4u);
+  // Two outcome keys: each key's outcomes carry the jump bits.
+  std::vector<MachineConfig> cfgs(2, helper_machine(steering_ir()));
+  cfgs[1].helper_width_bits = 16;
+
+  std::vector<WorkloadProfile> workloads = spec_int_2000_profiles();
+  const std::vector<WorkloadProfile> rv = rv::rv_workload_profiles();
+  ASSERT_EQ(rv.size(), 8u);
+  workloads.insert(workloads.end(), rv.begin(), rv.end());
+  for (const WorkloadProfile& prof : workloads) {
+    const TraceHandle trace = acquire_trace(prof, kLen);
+    std::vector<u32> want;
+    for (const TraceRecord& r : trace->records) want.push_back(r.pc);
+
+    const sample::OutcomeTrace cell =
+        sample::outcome_trace(cfgs, *sample::open_generating_stream(prof, kLen), kLen);
+    ASSERT_EQ(cell.outcomes.size(), 2u);
+    EXPECT_LT(cell.jumps.size(), want.size()) << prof.name;
+    for (std::size_t k = 0; k < cfgs.size(); ++k) {
+      std::vector<u32> pcs;
+      ASSERT_TRUE(rebuild_pcs(cell[k], cell.jumps, kPoison, pcs)) << prof.name;
+      EXPECT_EQ(pcs, want) << prof.name << " config " << k;
+    }
+
+    const std::unique_ptr<sample::RecordStream> stream =
+        sample::open_generating_stream(prof, kLen);
+    sample::OutcomePass pass(cfgs, stream->program());
+    for (const sample::WindowRange& w : plan)
+      for (const auto& [begin, end] : {std::pair{w.begin, w.measure_begin()},
+                                       std::pair{w.measure_begin(), w.end()}}) {
+        std::vector<u32> got;
+        u32 pc = kPoison;
+        bool paired = true;
+        pass.pull(*stream, begin, end, [&] {
+          const std::optional<u32> last = rebuild_pcs(pass.outcomes(1), pass.jumps(), pc, got);
+          paired = paired && last.has_value();
+          pc = last.value_or(kPoison);
+          EXPECT_TRUE(std::equal(pass.outcomes(0).begin(), pass.outcomes(0).end(),
+                                 pass.outcomes(1).begin(), [](u16 a, u16 b) {
+                                   return Outcome::jump(a) == Outcome::jump(b);
+                                 }))
+              << prof.name;
+        });
+        EXPECT_TRUE(paired) << prof.name << " records " << begin << "-" << end;
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin() + begin, want.begin() + end))
+            << prof.name << " records " << begin << "-" << end;
+      }
+  }
+}
+
+/// `cfg`'s walk over `w`, whole.
+SimResult walk_whole(const MachineConfig& cfg, const Program& program, const Walk& w) {
+  Pipeline p(cfg, program);
+  p.feed(w.outcomes, w.jumps);
+  return p.finish();
+}
+
+TEST(OutcomesDeathTest, WalkAbortsOnJumpsThatDoNotPair) {
+  const MachineConfig cfg = helper_machine(steering_ir());
+  const TraceHandle trace = acquire_trace(spec_profile("gcc"), 4000);
+  const Walk good = outcomes_of(cfg, *trace);
+  ASSERT_TRUE(Outcome::jump(good.outcomes.front()));
+  EXPECT_EQ(result_difference(walk_whole(cfg, trace->program, good), simulate(cfg, *trace)), "");
+
+  // A jump bit on the last record that has none: every record after it is
+  // a jump, so the walk runs out of jumps before it computes another pc.
+  Walk extra_bit = good;
+  const auto last_run = std::find_if(extra_bit.outcomes.rbegin(), extra_bit.outcomes.rend(),
+                                     [](u16 o) { return !Outcome::jump(o); });
+  ASSERT_NE(last_run, extra_bit.outcomes.rend());
+  *last_run |= Outcome::kJump;
+  EXPECT_DEATH((void)walk_whole(cfg, trace->program, extra_bit), "a jump bit without its jump");
+
+  Walk extra_jump = good;
+  extra_jump.jumps.push_back(0);
+  EXPECT_DEATH((void)walk_whole(cfg, trace->program, extra_jump),
+               "a jump without its jump bit");
+
+  Walk no_start = good;  // the same records, walked as if from a pc before
+  no_start.outcomes.front() &= static_cast<u16>(~Outcome::kJump);
+  no_start.jumps.erase(no_start.jumps.begin());
+  EXPECT_DEATH((void)walk_whole(cfg, trace->program, no_start), "must start at a jump");
+
+  Walk outside = good;
+  outside.jumps.back() = static_cast<u32>(trace->program.uops.size());
+  EXPECT_DEATH((void)walk_whole(cfg, trace->program, outside), "pc outside the program");
+}
+
 TEST(Outcomes, MatchBitsAreTheCarryCheck) {
-  // Bits 8-11 of every record's outcome: operand slot k's value, and the
-  // immediate, agree with the µop's output (its address for a memory µop)
-  // above the helper width, as the CR carry check tests it.
+  // Bits 8-11 of the outcome of every record whose opcode CR may steer
+  // (the only records whose walk reads them): operand slot k's value, and
+  // the immediate, agree with the µop's output (its address for a memory
+  // µop) above the helper width, as the CR carry check tests it.
   for (const WorkloadProfile& prof :
        {spec_profile("gcc"), spec_profile("mcf"), rv::rv_workload_profile("crc32")}) {
     const TraceHandle trace = acquire_trace(prof, kLen);
     for (const unsigned width : {8u, 16u}) {
       MachineConfig cfg = helper_machine(steering_ir());
       cfg.helper_width_bits = width;
-      const std::vector<u16> outcomes = outcomes_of(cfg, *trace);
-      std::size_t mismatches = 0;
+      const std::vector<u16> outcomes = outcomes_of(cfg, *trace).outcomes;
+      std::size_t checked = 0, mismatches = 0;
       for (std::size_t i = 0; i < trace->records.size(); ++i) {
         const TraceRecord& r = trace->records[i];
         const StaticUop& su = trace->program.uops[r.pc];
+        if (!build_uop_template(su, cfg.steer, width).cr_op) continue;
+        ++checked;
         const u32 output = is_memory(su.opcode) ? r.mem_addr : r.result;
         for (unsigned k = 0; k < kMaxSrcs; ++k)
           mismatches += Outcome::upper_match(outcomes[i], k) !=
@@ -156,6 +304,7 @@ TEST(Outcomes, MatchBitsAreTheCarryCheck) {
                       upper_bits_match(su.imm, output, width);
       }
       EXPECT_EQ(mismatches, 0u) << prof.name << " at width " << width;
+      EXPECT_GT(checked, trace->records.size() / 10) << prof.name;
     }
   }
 }
@@ -217,9 +366,7 @@ TEST(Outcomes, KeyCoversEveryFieldTheModelReads) {
   const MachineConfig base = helper_machine(steering_ir());
   for (const char* app : {"gcc", "mcf"}) {
     const TraceHandle trace = acquire_trace(spec_profile(app), kLen);
-    const std::vector<u16> base_outcomes = outcomes_of(base, *trace);
-    std::vector<u32> pcs;
-    for (const TraceRecord& r : trace->records) pcs.push_back(r.pc);
+    const Walk base_walk = outcomes_of(base, *trace);
     std::size_t moved = 0;  // mutations whose borrowed outcomes change the result
     for (const auto& [field, mutate] : mutations) {
       MachineConfig changed = base;
@@ -227,7 +374,8 @@ TEST(Outcomes, KeyCoversEveryFieldTheModelReads) {
       ASSERT_EQ(machine_config_error(changed), "") << field;
       const std::string diff =
           result_difference(private_run(changed, *trace),
-                            walk_run(changed, trace->program, pcs, base_outcomes));
+                            walk_run(changed, trace->program, base_walk.outcomes,
+                                     base_walk.jumps));
       if (diff.empty()) continue;
       ++moved;
       EXPECT_FALSE(outcome_key(changed) == outcome_key(base))

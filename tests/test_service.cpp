@@ -294,7 +294,7 @@ TEST(SweepService, EachJobReadsItsOwnProfilesTrace) {
 TEST(SweepService, BatchGeneratesEachTraceOnceAndKeepsNone) {
   // Batches one after the other, each over two unsampled cached cells (gcc
   // and mcf at its own seed) of three configs: each batch streams each
-  // cell's pcs and outcomes from the generator once and takes no trace
+  // cell's outcomes and jumps from the generator once and takes no trace
   // from the trace cache, and no cell is left alive after it, so the third
   // batch, a repeat of the first, builds its cells again.
   SweepService service(/*threads=*/2);

@@ -148,7 +148,7 @@ TEST(TraceCache, KeyCoversTheWholeProfile) {
 
 TEST(TraceCache, SweepCellGeneratesItsTraceOnce) {
   // The baseline and both configs read one generation, held for the sweep:
-  // the cell's pcs and outcomes, streamed from the generator, so the
+  // the cell's outcomes and jumps, streamed from the generator, so the
   // unsampled cell takes no trace from the cache.
   exp::SweepSpec spec;
   spec.workloads = {profile_with_seed("parser", 4207)};

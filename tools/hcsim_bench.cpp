@@ -12,7 +12,7 @@
 // so the gap to pipeline_streamed is the sampling speedup), and the
 // cumulative ladder as an unsampled cached sweep cell runs it
 // (pipeline_ladder: generation streamed through one shared outcome pass
-// into the cell's pcs and outcomes, then the baseline and the 7 rungs
+// into the cell's outcomes and jumps, then the baseline and the 7 rungs
 // walking those, counted in config-µops, so it compares with
 // pipeline_baseline). Results go to
 // stdout as JSON; append them to BENCH_sim_throughput.json so each PR has a
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
 
   // The ladder as an unsampled cached sweep cell runs it: the records
   // stream from the generator through one outcome model per distinct
-  // outcome key (one here) into the cell's pcs and outcomes, then each
+  // outcome key (one here) into the cell's outcomes and jumps, then each
   // config's timing walk reads those.
   std::vector<MachineConfig> ladder = {baseline};
   for (const exp::ConfigVariant& v : exp::cumulative_scheme_variants())
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
         sample::outcome_trace(ladder, *sample::open_generating_stream(prof, n_uops), n_uops);
     for (std::size_t k = 0; k < ladder.size(); ++k) {
       Pipeline p(ladder[k], cell.program);
-      p.feed(cell.pcs, cell[k]);
+      p.feed(cell[k], cell.jumps);
       if (p.finish().final_tick == 0) std::abort();
     }
   });
